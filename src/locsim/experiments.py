@@ -10,7 +10,13 @@ Scenario notes
 --------------
 * winner / filedrawer grids: the mean profile has range C at the reference
   size m = 10; when m grows the same per-index formula is reused without
-  rescaling, so extra candidates land far below the maximum.
+  rescaling, so extra candidates land far below the maximum.  Each cell has
+  one quantile source for max |Z_i|/sigma_i, shared by screening, the local
+  correction and the simultaneous baseline: the closed form for iid noise,
+  and one shared table of standardized draws for RBF noise.  These runners
+  keep their own screening masks because the shared table replaces the
+  per-call Monte Carlo of ``winner_interval``; ``winner-np`` screens with
+  the library's ``plausible_winner_set``.
 * winner-np: samples are signal_frac * mu01 + (1 - signal_frac) * xi with
   xi ~ Beta(a, b) iid, keeping everything inside [0, 1]; mu01 is the mean
   profile mapped affinely onto [0, 1].
@@ -25,6 +31,7 @@ Scenario notes
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import time
@@ -47,7 +54,6 @@ from .stats_core import (
     RngSpec,
     betting_capital_peaks,
     betting_interval_from_peaks,
-    bentkus_width,
     conservative_rank,
     hoeffding_width,
     max_abs_quantile_iid,
@@ -55,10 +61,13 @@ from .stats_core import (
 )
 from .theory_core import BudgetSplit
 from .winner import (
+    _CI_FNS,
+    _WIDTH_FNS,
     SampleMatrix,
     conditional_winner_interval,
     np_filedrawer_region,
     np_winner_interval,
+    plausible_winner_set,
     two_candidate_interval,
 )
 
@@ -140,8 +149,18 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.kind not in KINDS:
             raise ConfigError(f"unknown problem kind {self.kind!r}")
+        if self.kind == "coverage" and self.problem not in _COVERAGE_PROBLEMS:
+            raise ConfigError(f"coverage: unknown problem {self.problem!r} "
+                              f"(expected one of {', '.join(_COVERAGE_PROBLEMS)})")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        for key, values, names in (("cov_kinds", self.cov_kinds, _CELL_NOISE),
+                                   ("bound_kind", (self.bound_kind,), _WIDTH_FNS),
+                                   ("ci_kind", (self.ci_kind,), _CI_FNS)):
+            for value in values:
+                if value not in names:
+                    raise ConfigError(f"unknown {key} entry {value!r} "
+                                      f"(expected one of {', '.join(names)})")
         self.budget()
         return self
 
@@ -214,10 +233,7 @@ def read_csv(path):
 # Config files: flat "key = value" lines
 # ---------------------------------------------------------------------------
 
-_TUPLE_KEYS = {"theta_grid", "c_grid", "m_grid", "cov_kinds", "delta_grid",
-               "n_grid", "d_grid"}
-_STR_KEYS = {"kind", "out", "bound_kind", "ci_kind", "problem", "data"}
-_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _parse_scalar(text: str):
@@ -230,6 +246,15 @@ def _parse_scalar(text: str):
         return float(text)
     except ValueError:
         return text
+
+
+def _parse_tuple(text: str) -> tuple:
+    return tuple(_parse_scalar(v) for v in text.split(",") if v.strip())
+
+
+# Values are parsed by their ExperimentConfig annotation (a string under
+# ``from __future__ import annotations``).
+_PARSERS = {"tuple": _parse_tuple, "str": str, "int": int, "float": float}
 
 
 def load_config(path, base: ExperimentConfig = None) -> ExperimentConfig:
@@ -247,15 +272,14 @@ def load_config(path, base: ExperimentConfig = None) -> ExperimentConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELD_NAMES:
+            if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in _TUPLE_KEYS:
-                items = [v for v in (s.strip() for s in value.split(",")) if v]
-                updates[key] = tuple(_parse_scalar(v) for v in items)
-            elif key in _STR_KEYS:
-                updates[key] = value
-            else:
-                updates[key] = _parse_scalar(value)
+            type_name = _FIELD_TYPES[key]
+            try:
+                updates[key] = _PARSERS[type_name](value)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: {key} expects a {type_name}, "
+                                  f"got {value!r}") from None
     cfg = replace(cfg, **updates)
     return apply_env_seed(cfg)
 
@@ -332,38 +356,6 @@ def _width_row(scenario, method, widths, covered, runtime_ms, **params) -> Resul
                      q95_width=q95, coverage=cov, runtime_ms=runtime_ms, **params)
 
 
-class _SharedMaxStat:
-    """Shared draw table for per-trial subset quantiles of max |Z_i|/sigma_i.
-
-    One table of standardized draws serves every trial of a grid cell:
-    restricting a joint Gaussian draw to a subset of coordinates is an exact
-    draw from the restricted covariance, and the conservative rank keeps the
-    quantile estimate upward biased.
-    """
-
-    def __init__(self, noise: GaussianNoise, rng: RngSpec, n_draws: int):
-        gen = rng.generator()
-        z = noise.sample(gen, n_draws)
-        self.abs_std = np.abs(z) / noise.marginal_scales
-        self.n_draws = n_draws
-
-    def quantile(self, alpha: float, mask=None) -> float:
-        stats = (self.abs_std if mask is None else self.abs_std[:, mask]).max(axis=1)
-        rank = conservative_rank(alpha, self.n_draws)
-        return float(np.partition(stats, rank - 1)[rank - 1])
-
-
-def _iid_quantile_cache(alpha: float):
-    cache = {}
-
-    def q(k: int) -> float:
-        if k not in cache:
-            cache[k] = max_abs_quantile_iid(k, alpha)
-        return cache[k]
-
-    return q
-
-
 # ---------------------------------------------------------------------------
 # figure1: two candidates, vary the mean gap
 # ---------------------------------------------------------------------------
@@ -405,142 +397,119 @@ def run_figure1(config: ExperimentConfig):
 # winner & file-drawer grids (parametric)
 # ---------------------------------------------------------------------------
 
-def _winner_cell(config, budget, theta, C, m, cov_kind, stream):
-    alpha, nu = budget.alpha, budget.nu
-    t0 = time.perf_counter()
-    mu = generate_mu_reference_scaled(m, theta, C)
-    trials = config.trials
-    gen = RngSpec(config.seed, stream).generator()
-    if cov_kind == "iid":
-        ys = mu + gen.standard_normal((trials, m))
-        q_iid_loc = _iid_quantile_cache(budget.inference_level)
-        margin = 4.0 * max_abs_quantile_iid(m, nu)
-        half_sim = max_abs_quantile_iid(m, alpha)
-        shared = None
-    elif cov_kind == "rbf":
-        noise = GaussianNoise(rbf_covariance(m, config.phi))
-        ys = mu + noise.sample(gen, trials)
-        shared = _SharedMaxStat(noise, RngSpec(config.seed, stream).child(1),
-                                config.n_draws)
-        margin = 4.0 * shared.quantile(nu)
-        half_sim = shared.quantile(alpha)
-    else:
-        raise ConfigError(f"unknown covariance kind {cov_kind!r}")
-    half_nom = max_abs_quantile_iid(1, alpha)
+def _iid_cell(config, mu, rng):
+    """iid N(0, 1) noise: the closed-form quantile, cached per (level, k)."""
+    ys = mu + rng.generator().standard_normal((config.trials, mu.size))
+    cache = {}
 
-    widths = {"local": [], "simultaneous": [], "nominal": []}
-    covered = {"local": [], "simultaneous": [], "nominal": []}
-    run_conditional = cov_kind == "iid" and m >= 2
-    if run_conditional:
-        widths["conditional"] = []
-        covered["conditional"] = []
-    for y in ys:
-        win = int(np.argmax(y))
-        truth = mu[win]
-        err = abs(y[win] - truth)
-        mask = y >= y[win] - margin
-        if cov_kind == "iid":
-            half_loc = q_iid_loc(int(mask.sum()))
-        else:
-            half_loc = shared.quantile(budget.inference_level, mask)
-        widths["local"].append(2.0 * half_loc)
-        covered["local"].append(err <= half_loc)
-        widths["simultaneous"].append(2.0 * half_sim)
-        covered["simultaneous"].append(err <= half_sim)
-        widths["nominal"].append(2.0 * half_nom)
-        covered["nominal"].append(err <= half_nom)
-        if run_conditional:
-            lo, hi = conditional_winner_interval(y, 1.0, alpha)
-            widths["conditional"].append(hi - lo)
-            covered["conditional"].append(lo <= truth <= hi)
-    ms = int(1000 * (time.perf_counter() - t0))
-    phi = config.phi if cov_kind == "rbf" else None
-    return [
-        _width_row(f"winner:{cov_kind}", method, widths[method], covered[method],
-                   ms, param_theta=theta, param_C=C, param_m=m, param_phi=phi)
-        for method in widths
-    ]
+    def q(level, mask=None):
+        k = mu.size if mask is None else int(mask.sum())
+        if (level, k) not in cache:
+            cache[level, k] = max_abs_quantile_iid(k, level)
+        return cache[level, k]
+
+    return ys, q
+
+
+def _rbf_cell(config, mu, rng):
+    """RBF noise: one table of standardized draws serves every trial.
+
+    Restricting a joint Gaussian draw to a subset of coordinates is an exact
+    draw from the restricted covariance, and the conservative rank keeps the
+    quantile estimate upward biased.
+    """
+    noise = GaussianNoise(rbf_covariance(mu.size, config.phi))
+    ys = mu + noise.sample(rng.generator(), config.trials)
+    table = np.abs(noise.sample(rng.child(1).generator(), config.n_draws)) \
+        / noise.marginal_scales
+
+    def q(level, mask=None):
+        stats = (table if mask is None else table[:, mask]).max(axis=1)
+        rank = conservative_rank(level, config.n_draws)
+        return float(np.partition(stats, rank - 1)[rank - 1])
+
+    return ys, q
+
+
+_CELL_NOISE = {"iid": _iid_cell, "rbf": _rbf_cell}
+
+
+def _cell_outcomes(config, theta, C, m, cov_kind, stream):
+    """Means, outcomes (trials x m) and quantile source of one grid cell.
+
+    ``q(level, mask=None)`` is the 1-level quantile of max |Z_i|/sigma_i over
+    the masked coordinates, or over all of them when the mask is None.
+    """
+    if cov_kind not in _CELL_NOISE:
+        raise ConfigError(f"unknown covariance kind {cov_kind!r}")
+    mu = generate_mu_reference_scaled(m, theta, C)
+    return (mu, *_CELL_NOISE[cov_kind](config, mu, RngSpec(config.seed, stream)))
+
+
+def _winner_trials(config, budget, mu, ys, q, cov_kind):
+    alpha = budget.alpha
+    margin = 4.0 * q(budget.nu)
+    win = ys.argmax(axis=1)
+    top = ys[np.arange(len(ys)), win]
+    truth = mu[win]
+    halves = {"local": np.array([q(budget.inference_level, y >= t - margin)
+                                 for y, t in zip(ys, top)]),
+              "simultaneous": np.full(len(ys), q(alpha)),
+              "nominal": np.full(len(ys), max_abs_quantile_iid(1, alpha))}
+    widths = {k: 2.0 * h for k, h in halves.items()}
+    covered = {k: np.abs(top - truth) <= h for k, h in halves.items()}
+    if cov_kind == "iid":
+        ivs = [conditional_winner_interval(y, 1.0, alpha) for y in ys]
+        lo, hi = np.array(ivs).T
+        # Plain floats: an interval with both ends at the same infinity has
+        # width nan, without numpy's warning.
+        widths["conditional"] = [b - a for a, b in ivs]
+        covered["conditional"] = (lo <= truth) & (truth <= hi)
+    return widths, covered
+
+
+def _filedrawer_trials(config, budget, mu, ys, q, cov_kind):
+    # A trial that selects nothing covers trivially and has no width.  Else
+    # its plausible set contains the realized one and so is nonempty.
+    T = config.threshold
+    margin = 2.0 * q(budget.nu)
+    realized = ys >= T
+    hit = realized.any(axis=1)
+    halves = {"local": np.array([q(budget.inference_level, y >= T - margin) if h
+                                 else np.nan for y, h in zip(ys, hit)]),
+              "simultaneous": np.where(hit, q(budget.alpha), np.nan)}
+    worst = np.where(realized, np.abs(ys - mu), -np.inf).max(axis=1)
+    widths = {k: 2.0 * h for k, h in halves.items()}
+    covered = {k: ~hit | (worst <= h) for k, h in halves.items()}
+    return widths, covered
+
+
+def _run_grid(config, scenario, trials_fn, stream):
+    """Rows of the (cov_kind, theta, C, m) grid; cell k draws from stream + k."""
+    budget = config.budget()
+    rows = []
+    for cov_kind, theta, C, m in itertools.product(
+            config.cov_kinds, config.theta_grid, config.c_grid, config.m_grid):
+        theta, C, m = float(theta), float(C), int(m)
+        t0 = time.perf_counter()
+        mu, ys, q = _cell_outcomes(config, theta, C, m, cov_kind, stream)
+        stream += 1
+        widths, covered = trials_fn(config, budget, mu, ys, q, cov_kind)
+        ms = int(1000 * (time.perf_counter() - t0))
+        phi = config.phi if cov_kind == "rbf" else None
+        rows.extend(_width_row(f"{scenario}:{cov_kind}", method, widths[method],
+                               covered[method], ms, param_theta=theta, param_C=C,
+                               param_m=m, param_phi=phi)
+                    for method in widths)
+    return rows
 
 
 def run_winner(config: ExperimentConfig):
-    budget = config.budget()
-    rows = []
-    stream = 1000
-    for cov_kind in config.cov_kinds:
-        for theta in config.theta_grid:
-            for C in config.c_grid:
-                for m in config.m_grid:
-                    rows.extend(_winner_cell(config, budget, float(theta),
-                                             float(C), int(m), cov_kind, stream))
-                    stream += 1
-    return rows
-
-
-def _filedrawer_cell(config, budget, theta, C, m, cov_kind, stream):
-    alpha, nu = budget.alpha, budget.nu
-    t0 = time.perf_counter()
-    mu = generate_mu_reference_scaled(m, theta, C)
-    T = config.threshold
-    trials = config.trials
-    gen = RngSpec(config.seed, stream).generator()
-    if cov_kind == "iid":
-        ys = mu + gen.standard_normal((trials, m))
-        q_iid_loc = _iid_quantile_cache(budget.inference_level)
-        margin = 2.0 * max_abs_quantile_iid(m, nu)
-        half_sim = max_abs_quantile_iid(m, alpha)
-        shared = None
-    else:
-        noise = GaussianNoise(rbf_covariance(m, config.phi))
-        ys = mu + noise.sample(gen, trials)
-        shared = _SharedMaxStat(noise, RngSpec(config.seed, stream).child(1),
-                                config.n_draws)
-        margin = 2.0 * shared.quantile(nu)
-        half_sim = shared.quantile(alpha)
-
-    widths = {"local": [], "simultaneous": []}
-    covered = {"local": [], "simultaneous": []}
-    for y in ys:
-        realized = y >= T
-        plausible = y >= T - margin
-        if cov_kind == "iid":
-            half_loc = q_iid_loc(int(plausible.sum())) if plausible.any() else float("nan")
-        else:
-            half_loc = shared.quantile(budget.inference_level, plausible) \
-                if plausible.any() else float("nan")
-        if realized.any():
-            errs = np.abs(y[realized] - mu[realized])
-            covered["local"].append(bool(np.all(errs <= half_loc)))
-            covered["simultaneous"].append(bool(np.all(errs <= half_sim)))
-            widths["local"].append(2.0 * half_loc)
-            widths["simultaneous"].append(2.0 * half_sim)
-        else:
-            covered["local"].append(True)
-            covered["simultaneous"].append(True)
-            widths["local"].append(float("nan"))
-            widths["simultaneous"].append(float("nan"))
-    ms = int(1000 * (time.perf_counter() - t0))
-    phi = config.phi if cov_kind == "rbf" else None
-    return [
-        _width_row(f"filedrawer:{cov_kind}", method,
-                   np.asarray(widths[method])[np.isfinite(widths[method])],
-                   covered[method], ms,
-                   param_theta=theta, param_C=C, param_m=m, param_phi=phi)
-        for method in widths
-    ]
+    return _run_grid(config, "winner", _winner_trials, 1000)
 
 
 def run_filedrawer(config: ExperimentConfig):
-    budget = config.budget()
-    rows = []
-    stream = 2000
-    for cov_kind in config.cov_kinds:
-        for theta in config.theta_grid:
-            for C in config.c_grid:
-                for m in config.m_grid:
-                    rows.extend(_filedrawer_cell(config, budget, float(theta),
-                                                 float(C), int(m), cov_kind, stream))
-                    stream += 1
-    return rows
+    return _run_grid(config, "filedrawer", _filedrawer_trials, 2000)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +535,7 @@ def run_winner_np(config: ExperimentConfig):
             t0 = time.perf_counter()
             signal = _np_theta_means(config, float(theta))
             truth_all = signal + (1.0 - config.signal_frac) * noise_mean
-            w_margin = (bentkus_width(n, nu / m) if config.bound_kind == "bentkus"
-                        else hoeffding_width(n, nu / m))
+            w_margin = _WIDTH_FNS[config.bound_kind](n, nu / m)
             widths = {k: [] for k in ("local", "simultaneous", "conditional", "nominal")}
             covered = {k: [] for k in widths}
             gen = RngSpec(config.seed, stream).generator()
@@ -576,14 +544,14 @@ def run_winner_np(config: ExperimentConfig):
                 xi = gen.beta(config.beta_a, config.beta_b, size=(n, m))
                 data = signal[None, :] + (1.0 - config.signal_frac) * xi
                 means = data.mean(axis=0)
-                win = int(np.argmax(means))
+                plausible = plausible_winner_set(means, w_margin, nu)
+                win = int(plausible.realized[0])
                 truth = truth_all[win]
-                plausible = int(np.sum(means >= means[win] - 4.0 * w_margin))
                 col = data[:, win]
                 if config.ci_kind == "betting":
                     # One capital profile serves all three levels.
                     grid, peaks = betting_capital_peaks(col)
-                for method, level in (("local", budget.inference_level / plausible),
+                for method, level in (("local", budget.inference_level / plausible.size),
                                       ("simultaneous", alpha / m),
                                       ("nominal", alpha)):
                     if config.ci_kind == "betting":
@@ -773,32 +741,28 @@ _RUNNERS = {
 }
 
 
+# Every simulation study estimates coverage; the user-data scenario has no
+# truth to cover.
+_COVERAGE_PROBLEMS = tuple(k for k in _RUNNERS if k != "filedrawer-np")
+
+
 def run_experiment(config: ExperimentConfig):
     """Run the configured scenario and return its ResultRows (writing the
-    CSV when config.out is set)."""
+    CSV when config.out is set).  Kind "coverage" runs config.problem's
+    runner, whose rows already carry a per-method coverage estimate."""
     config.validate()
-    kind = config.kind
-    if kind == "coverage":
-        return run_coverage(config)
-    if kind == "winner-np" and config.data is not None:
+    if config.kind == "coverage":
+        rows = _RUNNERS[config.problem](replace(config, kind=config.problem))
+    elif config.kind == "winner-np" and config.data is not None:
         rows = _run_np_on_data(config)
     else:
-        rows = _RUNNERS[kind](config)
+        rows = _RUNNERS[config.kind](config)
     if config.out:
         write_csv(rows, config.out)
     return rows
 
 
 def run_coverage(config: ExperimentConfig):
-    """Coverage-focused run: dispatches to config.problem's runner (the
-    rows already carry a per-method coverage estimate)."""
-    problem = config.problem
-    if problem not in _RUNNERS:
-        raise ConfigError(f"coverage: unknown problem {problem!r}")
-    if problem == "filedrawer-np":
-        raise ConfigError("coverage is undefined for the user-data scenario")
-    sub = replace(config, kind=problem)
-    rows = _RUNNERS[problem](sub)
-    if config.out:
-        write_csv(rows, config.out)
-    return rows
+    """Coverage-focused run of config.problem: run_experiment with kind
+    "coverage"."""
+    return run_experiment(replace(config, kind="coverage"))

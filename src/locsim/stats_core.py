@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 from scipy.stats import binom
 
 __all__ = [
@@ -135,57 +136,12 @@ class GaussianNoise:
 # Normal quantile
 # ---------------------------------------------------------------------------
 
-# Acklam's rational approximation to the inverse normal CDF.
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-_ACKLAM_SPLIT = 0.02425
-
-
-def _normal_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def _normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def _normal_quantile_low(p: float) -> float:
-    """Inverse normal CDF for p in (0, 0.5]; tail evaluation avoids the
-    cancellation that Phi(x) - p would suffer near p = 1."""
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _ACKLAM_SPLIT:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    else:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    pdf = _normal_pdf(x)
-    if pdf > 0.0:
-        x -= (_normal_cdf(x) - p) / pdf
-    return x
-
-
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF, |error| <= 1e-9.
-
-    Rational approximation (Acklam) refined by one Newton step on an
-    erfc-evaluated CDF.  For p > 1/2 the symmetric reduction
-    PhiInv(p) = -PhiInv(1-p) is exact in floating point.
-    """
+    """Inverse standard normal CDF via ``scipy.special.ndtri``, within a few
+    units in the last place.  Raises ValueError unless 0 < p < 1."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    if p > 0.5:
-        return -_normal_quantile_low(1.0 - p)
-    return _normal_quantile_low(p)
+    return float(ndtri(p))
 
 
 def max_abs_quantile_iid(m: int, alpha: float, sigma: float = 1.0) -> float:

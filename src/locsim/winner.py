@@ -267,14 +267,21 @@ def _np_margin(samples: SampleMatrix, budget: BudgetSplit, bound_kind: str) -> f
     return width_fn(samples.n, budget.nu / samples.m)
 
 
+def _hoeffding_ci(x, alpha: float):
+    mean = float(x.mean())
+    w = hoeffding_width(x.size, alpha)
+    return mean - w, mean + w
+
+
+_CI_FNS = {"hoeffding": _hoeffding_ci, "betting": betting_ci}
+
+
 def _np_single_ci(samples: SampleMatrix, col: int, level_alpha: float, ci_kind: str):
-    if ci_kind == "hoeffding":
-        mean = float(samples.data[:, col].mean())
-        w = hoeffding_width(samples.n, level_alpha)
-        return mean - w, mean + w
-    if ci_kind == "betting":
-        return betting_ci(samples.data[:, col], level_alpha)
-    raise ValueError(f"unknown ci_kind {ci_kind!r}")
+    try:
+        ci_fn = _CI_FNS[ci_kind]
+    except KeyError:
+        raise ValueError(f"unknown ci_kind {ci_kind!r}") from None
+    return ci_fn(samples.data[:, col], level_alpha)
 
 
 def np_winner_interval(samples: SampleMatrix, budget: BudgetSplit,
@@ -289,9 +296,9 @@ def np_winner_interval(samples: SampleMatrix, budget: BudgetSplit,
     if not isinstance(samples, SampleMatrix):
         samples = SampleMatrix(samples)
     means = samples.column_means()
-    w = _np_margin(samples, budget, bound_kind)
-    winner = int(np.argmax(means))
-    plausible = np.flatnonzero(means >= means[winner] - 4.0 * w)
+    plausible = plausible_winner_set(means, _np_margin(samples, budget, bound_kind),
+                                     budget.nu)
+    winner = int(plausible.realized[0])
     level = budget.inference_level / plausible.size
     lo, hi = _np_single_ci(samples, winner, level, ci_kind)
     return IntervalSet(np.array([winner]), np.array([(lo + hi) / 2.0]),
@@ -305,9 +312,9 @@ def np_filedrawer_region(samples: SampleMatrix, threshold: float,
     if not isinstance(samples, SampleMatrix):
         samples = SampleMatrix(samples)
     means = samples.column_means()
-    w = _np_margin(samples, budget, bound_kind)
-    plausible = np.flatnonzero(means >= threshold - 2.0 * w)
-    realized = np.flatnonzero(means >= threshold)
+    plausible = plausible_filedrawer_set(
+        means, threshold, _np_margin(samples, budget, bound_kind), budget.nu)
+    realized = plausible.realized
     if realized.size == 0:
         return IntervalSet(np.array([], dtype=int), np.array([]), np.array([]),
                            1.0 - budget.alpha)

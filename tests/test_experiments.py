@@ -116,9 +116,11 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg"
-        path.write_text("bogus = 1\n")
-        with pytest.raises(ConfigError):
-            load_config(path)
+        # An unknown key, and values that do not parse as the key's type.
+        for text in ("bogus = 1\n", "alpha = abc\n", "trials = 1.5\n"):
+            path.write_text(text)
+            with pytest.raises(ConfigError):
+                load_config(path)
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg"
@@ -135,6 +137,14 @@ class TestConfigFile:
             ExperimentConfig(kind="winner", alpha=0.1, nu=0.5).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(kind="bogus").validate()
+        for bad in ({"kind": "winner", "cov_kinds": ("iid", "foo")},
+                    {"kind": "filedrawer", "cov_kinds": ("foo",)},
+                    {"kind": "winner-np", "ci_kind": "foo"},
+                    {"kind": "winner-np", "bound_kind": "foo"}):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(**bad).validate()
+        with pytest.raises(ConfigError):
+            run_coverage(ExperimentConfig(kind="coverage", problem="winner", trials=0))
 
 
 class TestRunners:
@@ -244,10 +254,19 @@ class TestCli:
         rows = read_csv(out)
         assert len(rows) == 44  # 11 deltas x 4 methods
 
-    def test_config_error_exit_code(self):
+    def test_config_error_exit_code(self, tmp_path):
         res = _cli("winner", "--alpha", "0.1", "--nu", "0.5")
         assert res.returncode == 2
         assert "configuration error" in res.stderr
+        cfg = tmp_path / "cfg"
+        for kind, text in (("winner", "alpha = abc\n"),
+                           ("filedrawer", "cov_kinds = foo\n"),
+                           ("winner-np", "ci_kind = foo\n"),
+                           ("winner-np", "bound_kind = foo\n")):
+            cfg.write_text(text)
+            res = _cli(kind, "--config", str(cfg), "--trials", "1")
+            assert res.returncode == 2, (kind, text, res.stderr)
+            assert "configuration error" in res.stderr
 
     def test_missing_config_file_exit_code(self):
         res = _cli("winner", "--config", "/nonexistent/cfg")
