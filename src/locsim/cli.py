@@ -64,11 +64,7 @@ def config_from_args(args) -> ExperimentConfig:
         cfg = load_config(args.config, base=cfg)
         cfg = replace(cfg, kind=args.kind)
     overrides = {}
-    for key in ("out", "seed", "trials", "alpha", "nu"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    for key in ("data", "threshold", "problem"):
+    for key in ("out", "seed", "trials", "alpha", "nu", "data", "threshold", "problem"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value

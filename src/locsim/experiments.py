@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -54,7 +55,7 @@ from .stats_core import (
     RngSpec,
     betting_capital_peaks,
     betting_interval_from_peaks,
-    conservative_rank,
+    conservative_quantile,
     hoeffding_width,
     max_abs_quantile_iid,
     normal_quantile,
@@ -161,6 +162,12 @@ class ExperimentConfig:
                 if value not in names:
                     raise ConfigError(f"unknown {key} entry {value!r} "
                                       f"(expected one of {', '.join(names)})")
+        for key in ("m_grid", "n_grid", "d_grid"):
+            for value in getattr(self, key):
+                if not (isinstance(value, numbers.Real) and float(value).is_integer()
+                        and value >= 1):
+                    raise ConfigError(f"{key} entries must be positive whole numbers, "
+                                      f"got {value!r}")
         self.budget()
         return self
 
@@ -425,8 +432,7 @@ def _rbf_cell(config, mu, rng):
 
     def q(level, mask=None):
         stats = (table if mask is None else table[:, mask]).max(axis=1)
-        rank = conservative_rank(level, config.n_draws)
-        return float(np.partition(stats, rank - 1)[rank - 1])
+        return conservative_quantile(stats, level)
 
     return ys, q
 

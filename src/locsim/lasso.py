@@ -6,9 +6,11 @@ model-sign regions until the sufficient-statistic box around X^T y is
 tiled.  Simultaneous least-squares intervals are then corrected only over
 the models discovered in the box.
 
-Selection via the LASSO depends on y only through X^T y, so the screening
-LPs and all quantile simulations are carried out in those coordinates
-(dimension d instead of n); the public polyhedron remains in outcome space.
+Selection via the LASSO depends on y only through u = X^T y, so each pair
+has one selection event, built in u-coordinates (dimension d instead of n).
+The safe rules, the screening LPs, the debug certificate and the quantile
+simulations all work there; the public outcome-space polyhedron is that
+event composed with X^T.
 """
 
 from __future__ import annotations
@@ -123,8 +125,8 @@ class Design:
     """Fixed design matrix with cached Gram data.
 
     Submatrices used for inference must have full column rank; this is
-    checked (singular-value tolerance 1e-8) whenever a model workspace is
-    built, and violations raise DegeneracyError.
+    checked (singular-value tolerance 1e-8) whenever a support's Gram
+    inverse is built, and violations raise DegeneracyError.
     """
 
     def __init__(self, X):
@@ -136,7 +138,7 @@ class Design:
         self.X = X
         self.XtX = X.T @ X
         self.column_norms = np.sqrt(np.diag(self.XtX))
-        self._workspaces = {}
+        self._inverses = {}
         self._gram_factor = None
 
     @property
@@ -153,22 +155,19 @@ class Design:
             self._gram_factor = GaussianNoise(self.XtX).factor
         return self._gram_factor
 
-    def workspace(self, M) -> dict:
-        """Gram inverse and friends for a support M (cached per support)."""
+    def gram_inverse(self, M) -> np.ndarray:
+        """(X_M^T X_M)^{-1} for a support M (cached per support)."""
         M = tuple(int(j) for j in M)
-        if M in self._workspaces:
-            return self._workspaces[M]
-        if len(M) == 0:
-            ws = {"M": M, "inv": np.zeros((0, 0)), "sv_min": np.inf}
-        else:
-            G = self.XtX[np.ix_(M, M)]
-            eigs = np.linalg.eigvalsh(G)
-            sv = np.sqrt(np.clip(eigs, 0.0, None))
-            if sv[0] <= _RANK_TOL * sv[-1] or sv[0] == 0.0:
-                raise DegeneracyError(f"rank-deficient submatrix for support {M}")
-            ws = {"M": M, "inv": np.linalg.inv(G), "sv_min": sv[0]}
-        self._workspaces[M] = ws
-        return ws
+        if M not in self._inverses:
+            inv = np.zeros((0, 0))
+            if M:
+                G = self.XtX[np.ix_(M, M)]
+                sv = np.sqrt(np.clip(np.linalg.eigvalsh(G), 0.0, None))
+                if sv[0] <= _RANK_TOL * sv[-1] or sv[0] == 0.0:
+                    raise DegeneracyError(f"rank-deficient submatrix for support {M}")
+                inv = np.linalg.inv(G)
+            self._inverses[M] = inv
+        return self._inverses[M]
 
 
 def _soft_threshold(x: float, t: float) -> float:
@@ -217,7 +216,7 @@ def lasso_solve(design: Design, y, lam: float):
     support = tuple(int(j) for j in np.flatnonzero(beta))
     signs = tuple(int(v) for v in np.sign(beta[list(support)]))
     pair = ModelSignPair(support, signs)
-    design.workspace(support)  # full-rank check on X_M
+    design.gram_inverse(support)  # full-rank check on X_M
 
     grad = h - g_beta
     tol = _KKT_REL_TOL * max(1.0, lam)
@@ -232,152 +231,108 @@ def lasso_solve(design: Design, y, lam: float):
 
 
 # ---------------------------------------------------------------------------
-# Selection-event polyhedra
+# The selection event
 # ---------------------------------------------------------------------------
 
-def _polyhedron_rows(design: Design, pair: ModelSignPair, lam: float,
-                     suffstat: bool):
-    """Rows (a, b, tag) of the selection polyhedron for a model-sign pair.
+def _selection_event(design: Design, pair: ModelSignPair, lam: float):
+    """Selection event of a model-sign pair in u = X^T y coordinates.
 
-    With suffstat=True the rows act on u = X^T y (a has length d); otherwise
-    they act on y itself.  Tags name the pair across each face:
-    ("enter", j, sign) for inactive-variable rows, ("leave", j) for active.
+    Returns (event, faces): the polyhedron {u : A u <= b} and, for each row,
+    the pair across that face, tagged ("enter", j, sign) or ("leave", j).
+    Row order: one (+) row per inactive variable ascending, then the (-)
+    rows in the same order, then one row per active variable in support
+    order.
     """
-    M, s = list(pair.M), np.asarray(pair.s, dtype=float)
-    d = design.d
-    Mc = [j for j in range(d) if j not in pair.M]
-    inv = design.workspace(pair.M)["inv"]
-    X = design.X
-    rows = []
-    if M:
-        XM = X[:, M]
-        inv_XMt = inv @ XM.T                      # (|M|, n)
-        g_cross = design.XtX[np.ix_(Mc, M)]       # X_Mc^T X_M
-        c = g_cross @ (inv @ s)                   # X_Mc^T (X_M^T)^+ s
-    for pos, j in enumerate(Mc):
-        if suffstat:
-            a = np.zeros(d)
-            a[j] = 1.0 / lam
-            if M:
-                a[M] = -(g_cross[pos] @ inv) / lam
-        else:
-            resid_dir = X[:, j] - (XM @ (inv @ (XM.T @ X[:, j]))) if M else X[:, j]
-            a = resid_dir / lam
-        offset = 1.0 - (c[pos] if M else 0.0)
-        rows.append((a, offset, ("enter", j, +1)))
-        rows.append((-a, 2.0 - offset, ("enter", j, -1)))
-    for pos, j in enumerate(M):
-        if suffstat:
-            a = np.zeros(d)
-            a[M] = -s[pos] * inv[pos]
-        else:
-            a = -s[pos] * inv_XMt[pos]
-        b = -lam * s[pos] * float(inv[pos] @ s)
-        rows.append((a, b, ("leave", j)))
-    return rows
+    M = list(pair.M)
+    Mc = [j for j in range(design.d) if j not in pair.M]
+    s = np.asarray(pair.s, dtype=float)
+    inv = design.gram_inverse(pair.M)
+    g_cross = design.XtX[np.ix_(Mc, M)]           # X_Mc^T X_M
+    enter = np.zeros((len(Mc), design.d))
+    enter[:, Mc] = np.eye(len(Mc)) / lam
+    enter[:, M] = -(g_cross @ inv) / lam
+    offset = 1.0 - g_cross @ (inv @ s)           # 1 - X_Mc^T (X_M^T)^+ s
+    leave = np.zeros((len(M), design.d))
+    leave[:, M] = -s[:, None] * inv
+    event = Polyhedron(np.vstack([enter, -enter, leave]),
+                       np.concatenate([offset, 2.0 - offset, -lam * s * (inv @ s)]))
+    faces = ([("enter", j, +1) for j in Mc] + [("enter", j, -1) for j in Mc]
+             + [("leave", j) for j in M])
+    return event, faces
 
 
 def selection_polyhedron(design: Design, pair: ModelSignPair, lam: float) -> Polyhedron:
     """Outcome-space polyhedron {y : the LASSO at y selects exactly (M, s)}.
 
-    Row order: inactive variables ascending with the (+) row then the (-)
-    row, followed by one row per active variable in support order.  All
-    rows are open (strict) inequalities.
+    The selection event composed with X^T.  Row order: inactive variables
+    ascending with their (+) rows, then their (-) rows in the same order,
+    then one row per active variable in support order.  All rows are open
+    (strict) inequalities.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    rows = _polyhedron_rows(design, pair, lam, suffstat=False)
-    plus = [r for r in rows if r[2][0] == "enter" and r[2][2] == +1]
-    minus = [r for r in rows if r[2][0] == "enter" and r[2][2] == -1]
-    leave = [r for r in rows if r[2][0] == "leave"]
-    ordered = plus + minus + leave
-    A = np.array([r[0] for r in ordered]) if ordered else np.zeros((0, design.n))
-    b = np.array([r[1] for r in ordered])
-    return Polyhedron(A, b, np.ones(len(ordered), dtype=bool))
+    event, _ = _selection_event(design, pair, lam)
+    return Polyhedron(event.A @ design.X.T, event.b, np.ones(event.n_rows, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
 # Screening rules
 # ---------------------------------------------------------------------------
 
-def _local_solution(design: Design, y, pair: ModelSignPair, lam: float) -> np.ndarray:
-    """Locally linear LASSO solution for the pair, extrapolated to y."""
-    if not pair.M:
-        return np.zeros(0)
-    inv = design.workspace(pair.M)["inv"]
-    XM = design.X[:, list(pair.M)]
-    return inv @ (XM.T @ np.asarray(y, dtype=float) - lam * np.asarray(pair.s, dtype=float))
-
-
 def safe_screening(design: Design, y, pair: ModelSignPair, lam: float, s_nu: float):
     """Closed-form sufficient screening over the sufficient-statistic box.
 
     Returns (safe_in, safe_out): active variables that cannot exit the model
     in any neighboring region within the box, and inactive variables that
-    cannot enter.
+    cannot enter.  Computed in u = X^T y from the pair's local solution
+    beta = (X_M^T X_M)^{-1} (u_M - lam s) and the inactive correlations
+    u_Mc - X_Mc^T X_M beta.
     """
     if s_nu < 0:
         raise ValueError("s_nu must be nonnegative")
     M = list(pair.M)
-    d = design.d
-    Mc = [j for j in range(d) if j not in pair.M]
-    beta_loc = _local_solution(design, y, pair, lam)
-    if M:
-        inv = design.workspace(pair.M)["inv"]
-        XM = design.X[:, M]
-        resid = np.asarray(y, dtype=float) - XM @ beta_loc
-        cross = design.XtX[np.ix_(Mc, M)] @ inv    # X_Mc^T X_M (X_M^T X_M)^{-1}
-        cross_l1 = np.abs(cross).sum(axis=1)
-        inv_l1 = np.abs(inv).sum(axis=1)
-        safe_in = {M[k] for k in range(len(M))
-                   if abs(beta_loc[k]) > s_nu * inv_l1[k]}
-    else:
-        resid = np.asarray(y, dtype=float)
-        cross_l1 = np.zeros(len(Mc))
-        safe_in = set()
-    corr = design.X[:, Mc].T @ resid if Mc else np.zeros(0)
-    safe_out = {Mc[k] for k in range(len(Mc))
-                if abs(corr[k]) < lam - s_nu * (1.0 + cross_l1[k])}
+    Mc = [j for j in range(design.d) if j not in pair.M]
+    u = design.X.T @ np.asarray(y, dtype=float)
+    inv = design.gram_inverse(pair.M)
+    g_cross = design.XtX[np.ix_(Mc, M)]
+    beta_loc = inv @ (u[M] - lam * np.asarray(pair.s, dtype=float))
+    corr = u[Mc] - g_cross @ beta_loc
+    inv_l1 = np.abs(inv).sum(axis=1)
+    cross_l1 = np.abs(g_cross @ inv).sum(axis=1)  # rows of X_Mc^T X_M (X_M^T X_M)^{-1}
+    safe_in = {M[k] for k in np.flatnonzero(np.abs(beta_loc) > s_nu * inv_l1)}
+    safe_out = {Mc[k] for k in np.flatnonzero(np.abs(corr) < lam - s_nu * (1.0 + cross_l1))}
     return safe_in, safe_out
+
+
+def _neighbors(design: Design, pair: ModelSignPair, lam: float, box: Polyhedron, safe):
+    """(neighbors, LPs run): the pairs across the faces of the pair's event
+    that are active within the box, one LP per face not screened by the
+    safe sets (safe_in, safe_out)."""
+    safe_in, safe_out = safe
+    event, faces = _selection_event(design, pair, lam)
+    neighbors = set()
+    n_lps = 0
+    for i, face in enumerate(faces):
+        if face[1] in (safe_out if face[0] == "enter" else safe_in):
+            continue
+        n_lps += 1
+        if constraint_nonredundant(event, i, box, eps=_LP_EPS).nonredundant:
+            neighbors.add(pair.add(face[1], face[2]) if face[0] == "enter"
+                          else pair.drop(face[1]))
+    return neighbors, n_lps
 
 
 def exact_screening(design: Design, y, pair: ModelSignPair, lam: float,
                     s_nu: float, safe=None):
     """Neighboring model-sign pairs reachable inside the box.
 
-    Each unscreened constraint of the selection polyhedron is tested for
-    redundancy within the polyhedron (that constraint removed) intersected
-    with the box, one LP per test; an active constraint names the pair on
-    the other side of its face.
+    Each unscreened constraint of the selection event is tested for
+    redundancy within the event (that constraint removed) intersected with
+    the box, one LP per test; an active constraint names the pair on the
+    other side of its face.
     """
-    neighbors, _ = _exact_screening_counted(design, y, pair, lam, s_nu, safe)
-    return neighbors
-
-
-def _exact_screening_counted(design: Design, y, pair: ModelSignPair, lam: float,
-                             s_nu: float, safe=None):
-    safe_in, safe_out = safe if safe is not None else (set(), set())
-    rows = _polyhedron_rows(design, pair, lam, suffstat=True)
-    u_obs = design.X.T @ np.asarray(y, dtype=float)
-    box = SuffStatBox(u_obs, s_nu).polyhedron()
-    region = Polyhedron(np.array([r[0] for r in rows]),
-                        np.array([r[1] for r in rows]))
-    neighbors = set()
-    n_lps = 0
-    for i, (_, _, tag) in enumerate(rows):
-        j = tag[1]
-        if tag[0] == "enter" and j in safe_out:
-            continue
-        if tag[0] == "leave" and j in safe_in:
-            continue
-        n_lps += 1
-        res = constraint_nonredundant(region, i, box, eps=_LP_EPS)
-        if res.nonredundant:
-            if tag[0] == "leave":
-                neighbors.add(pair.drop(j))
-            else:
-                neighbors.add(pair.add(j, tag[2]))
-    return neighbors, n_lps
+    box = SuffStatBox(design.X.T @ np.asarray(y, dtype=float), s_nu).polyhedron()
+    return _neighbors(design, pair, lam, box, safe if safe is not None else (set(), set()))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +354,6 @@ def column_max_quantile(design: Design, sigma: float, alpha: float,
 def _all_models(d: int):
     return set(chain.from_iterable(
         combinations(range(d), r) for r in range(d + 1)))
-
-
-def _certify_box_intersection(design: Design, pair: ModelSignPair, lam: float,
-                              box: Polyhedron) -> None:
-    rows = _polyhedron_rows(design, pair, lam, suffstat=True)
-    region = Polyhedron(np.array([r[0] for r in rows]),
-                        np.array([r[1] for r in rows]))
-    res = lp_maximize(np.zeros(design.d), region.intersect(box))
-    if res.status == "infeasible":
-        raise RuntimeError(f"visited pair {pair} does not intersect the box")
 
 
 def enumerate_plausible_models(design: Design, y, lam: float, budget: BudgetSplit,
@@ -438,19 +383,17 @@ def enumerate_plausible_models(design: Design, y, lam: float, budget: BudgetSpli
     lp_count = 0
     safe_skips = 0
     capped = False
-    box = SuffStatBox(design.X.T @ np.asarray(y, dtype=float), s_nu).polyhedron() \
-        if certify else None
+    box = SuffStatBox(design.X.T @ np.asarray(y, dtype=float), s_nu).polyhedron()
     while todo:
         pair = todo.popleft()
         visited.append(pair)
         if certify:
-            _certify_box_intersection(design, pair, lam, box)
-        if use_safe:
-            safe = safe_screening(design, y, pair, lam, s_nu)
-            safe_skips += len(safe[0]) + len(safe[1])
-        else:
-            safe = (set(), set())
-        neighbors, n_lps = _exact_screening_counted(design, y, pair, lam, s_nu, safe)
+            event, _ = _selection_event(design, pair, lam)
+            if lp_maximize(np.zeros(design.d), event.intersect(box)).status == "infeasible":
+                raise RuntimeError(f"visited pair {pair} does not intersect the box")
+        safe = safe_screening(design, y, pair, lam, s_nu) if use_safe else (set(), set())
+        safe_skips += len(safe[0]) + len(safe[1])
+        neighbors, n_lps = _neighbors(design, pair, lam, box, safe)
         lp_count += n_lps
         for nb in sorted(neighbors, key=lambda p: (p.M, p.s)):
             if nb not in seen:
@@ -491,7 +434,7 @@ def posi_intervals(design: Design, y, selected: ModelSignPair, models,
     for M in sorted(set(tuple(m) for m in models) | {selected.M}):
         if not M:
             continue
-        inv = design.workspace(M)["inv"]
+        inv = design.gram_inverse(M)
         LM = L[list(M), :]
         block = inv @ LM                      # rows: contrasts in u-coordinates
         scales = np.sqrt(np.diag(inv))
@@ -500,9 +443,9 @@ def posi_intervals(design: Design, y, selected: ModelSignPair, models,
     q = contrast_quantile_mc(contrasts, 1.0, budget.inference_level,
                              rng.child(1), n_draws).value
     M_hat = list(selected.M)
-    ws = design.workspace(selected.M)
-    theta = ws["inv"] @ (design.X[:, M_hat].T @ np.asarray(y, dtype=float))
-    sig_hat = np.sqrt(np.diag(ws["inv"]))
+    inv = design.gram_inverse(selected.M)
+    theta = inv @ (design.X[:, M_hat].T @ np.asarray(y, dtype=float))
+    sig_hat = np.sqrt(np.diag(inv))
     halves = q * sigma * sig_hat
     return IntervalSet(np.array(M_hat), theta, halves, 1.0 - budget.alpha)
 
@@ -510,7 +453,7 @@ def posi_intervals(design: Design, y, selected: ModelSignPair, models,
 def projection_truth(design: Design, M, mu) -> np.ndarray:
     """Population projection coefficients X_M^+ mu for a fixed support."""
     M = list(M)
-    inv = design.workspace(tuple(M))["inv"]
+    inv = design.gram_inverse(M)
     return inv @ (design.X[:, M].T @ np.asarray(mu, dtype=float))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats_core import DEFAULT_DRAWS, RngSpec, conservative_rank
+from .stats_core import DEFAULT_DRAWS, RngSpec, conservative_quantile
 from .theory_core import BudgetSplit
 
 __all__ = [
@@ -152,8 +152,7 @@ def cap_quantile(delta, d: int, alpha: float, rng: RngSpec,
     cos_d, sin_d = math.cos(delta), math.sin(delta)
     f_plus = np.where(angle <= delta, norm, z1 * cos_d + perp * sin_d)
     f_minus = np.where(math.pi - angle <= delta, norm, -z1 * cos_d + perp * sin_d)
-    stats = np.sort(np.maximum(f_plus, f_minus))
-    return float(stats[conservative_rank(alpha, n_draws) - 1])
+    return conservative_quantile(np.maximum(f_plus, f_minus), alpha)
 
 
 def cap_angle(problem: SphereProblem, rng: RngSpec,

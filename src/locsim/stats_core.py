@@ -30,6 +30,7 @@ __all__ = [
     "betting_capital_peaks",
     "betting_interval_from_peaks",
     "conservative_rank",
+    "conservative_quantile",
 ]
 
 DEFAULT_DRAWS = 100_000
@@ -168,6 +169,13 @@ def conservative_rank(alpha: float, n: int) -> int:
     return min(max(r, 1), n)
 
 
+def conservative_quantile(stats: np.ndarray, alpha: float) -> float:
+    """Upward-biased 1-alpha quantile of 1-d draws: the order statistic of
+    rank conservative_rank(alpha, stats.size)."""
+    rank = conservative_rank(alpha, stats.size)
+    return float(np.partition(stats, rank - 1)[rank - 1])
+
+
 def _batch_se(stats: np.ndarray, alpha: float, n_batches: int) -> float:
     # Contiguous batches in draw order give independent replicate quantiles.
     n = stats.size
@@ -177,13 +185,12 @@ def _batch_se(stats: np.ndarray, alpha: float, n_batches: int) -> float:
         return float("nan")
     qs = np.empty(b)
     for i in range(b):
-        part = np.sort(stats[i * size:(i + 1) * size])
-        qs[i] = part[conservative_rank(alpha, part.size) - 1]
+        qs[i] = conservative_quantile(stats[i * size:(i + 1) * size], alpha)
     return float(qs.std(ddof=1) / math.sqrt(b))
 
 
 def _mc_quantile_estimate(stats: np.ndarray, alpha: float, n_draws: int) -> QuantileEstimate:
-    q = float(np.sort(stats)[conservative_rank(alpha, stats.size) - 1])
+    q = conservative_quantile(stats, alpha)
     se = _batch_se(stats, alpha, 20)
     return QuantileEstimate(q, alpha, n_draws, se)
 

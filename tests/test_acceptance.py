@@ -2,6 +2,7 @@
 
 Heavy simulation grids are shared through module-scoped fixtures.  Run with
 `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
+Criteria that take over 30 s are marked ``slow``.
 """
 
 import math
@@ -246,6 +247,7 @@ def _cond_gaussian_hits(theta, n, trials, seed, m=50, signal_frac=0.9):
     return hits
 
 
+@pytest.mark.slow
 def test_c04_nonparametric_winner():
     trials = 2000
     cells = {}
@@ -322,6 +324,7 @@ def lasso_oracle_instances():
     return results
 
 
+@pytest.mark.slow
 def test_c05_enumeration_matches_grid_oracle(lasso_oracle_instances):
     t0 = time.perf_counter()
     superset = sum(r["oracle"] <= r["with_safe"] for r in lasso_oracle_instances)
@@ -332,6 +335,7 @@ def test_c05_enumeration_matches_grid_oracle(lasso_oracle_instances):
            f"superset {superset}/50, equal {equal}/50 (>=48 required)")
 
 
+@pytest.mark.slow
 def test_c06_safe_rules_sound(lasso_oracle_instances):
     same = sum(r["with_safe"] == r["no_safe"] for r in lasso_oracle_instances)
     lp_safe = sum(r["lp_safe"] for r in lasso_oracle_instances)
@@ -347,6 +351,7 @@ def test_c06_safe_rules_sound(lasso_oracle_instances):
 # Criterion 7: post-LASSO coverage and the P_max fallback
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_c07_posi_coverage_and_pmax_fallback():
     cfg = ExperimentConfig(kind="lasso", trials=1000, seed=701, d=8, n=200,
                            lambda0=6.0, n_draws=20_000)

@@ -140,7 +140,11 @@ class TestConfigFile:
         for bad in ({"kind": "winner", "cov_kinds": ("iid", "foo")},
                     {"kind": "filedrawer", "cov_kinds": ("foo",)},
                     {"kind": "winner-np", "ci_kind": "foo"},
-                    {"kind": "winner-np", "bound_kind": "foo"}):
+                    {"kind": "winner-np", "bound_kind": "foo"},
+                    {"kind": "winner", "m_grid": (10.5,)},
+                    {"kind": "winner-np", "n_grid": (100, 50.5)},
+                    {"kind": "sphere", "d_grid": (3.7,)},
+                    {"kind": "sphere", "d_grid": (0,)}):
             with pytest.raises(ConfigError):
                 ExperimentConfig(**bad).validate()
         with pytest.raises(ConfigError):
@@ -262,7 +266,11 @@ class TestCli:
         for kind, text in (("winner", "alpha = abc\n"),
                            ("filedrawer", "cov_kinds = foo\n"),
                            ("winner-np", "ci_kind = foo\n"),
-                           ("winner-np", "bound_kind = foo\n")):
+                           ("winner-np", "bound_kind = foo\n"),
+                           ("winner", "m_grid = 10.5\n"),
+                           ("winner-np", "n_grid = 50.5\n"),
+                           ("sphere", "d_grid = 3.7\n"),
+                           ("sphere", "d_grid = 0\n")):
             cfg.write_text(text)
             res = _cli(kind, "--config", str(cfg), "--trials", "1")
             assert res.returncode == 2, (kind, text, res.stderr)

@@ -279,7 +279,7 @@ class TestPosiIntervals:
             pair = ModelSignPair((0,), (1,))
         models = {pair.M}
         iv = posi_intervals(design, y, pair, models, BUDGET, 1.0, RngSpec(3), 200_000)
-        ws_inv = design.workspace(pair.M)["inv"]
+        ws_inv = design.gram_inverse(pair.M)
         for k, j in enumerate(pair.M):
             expect = normal_quantile(1 - 0.09 / 2) * math.sqrt(ws_inv[k, k])
             if len(pair.M) == 1:
