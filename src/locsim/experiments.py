@@ -10,13 +10,14 @@ Scenario notes
 --------------
 * winner / filedrawer grids: the mean profile has range C at the reference
   size m = 10; when m grows the same per-index formula is reused without
-  rescaling, so extra candidates land far below the maximum.  Each cell has
-  one quantile source for max |Z_i|/sigma_i, shared by screening, the local
-  correction and the simultaneous baseline: the closed form for iid noise,
-  and one shared table of standardized draws for RBF noise.  These runners
-  keep their own screening masks because the shared table replaces the
-  per-call Monte Carlo of ``winner_interval``; ``winner-np`` screens with
-  the library's ``plausible_winner_set``.
+  rescaling, so extra candidates land far below the maximum.  The runners
+  screen every trial of a cell at once with ``winner.py``'s own rules and
+  keep only their quantile source for max |Z_i|/sigma_i, shared by
+  screening, the local correction and the simultaneous baseline: the closed
+  form for iid noise, and one shared table of standardized draws for RBF
+  noise in place of the per-call Monte Carlo of ``winner_interval``.
+  ``winner-np`` screens with ``plausible_winner_set`` and the library's
+  nonparametric margin.
 * winner-np: samples are signal_frac * mu01 + (1 - signal_frac) * xi with
   xi ~ Beta(a, b) iid, keeping everything inside [0, 1]; mu01 is the mean
   profile mapped affinely onto [0, 1].
@@ -65,6 +66,9 @@ from .winner import (
     _CI_FNS,
     _WIDTH_FNS,
     SampleMatrix,
+    _filedrawer_mask,
+    _np_margin,
+    _winner_mask,
     conditional_winner_interval,
     np_filedrawer_region,
     np_winner_interval,
@@ -86,9 +90,6 @@ __all__ = [
     "load_config",
     "CSV_HEADER",
 ]
-
-CSV_HEADER = ("scenario,method,param_theta,param_C,param_m,param_phi,"
-              "median_width,q05_width,q95_width,coverage,runtime_ms")
 
 KINDS = ("figure1", "winner", "filedrawer", "winner-np", "filedrawer-np",
          "lasso", "erm", "sphere", "coverage")
@@ -141,9 +142,9 @@ class ExperimentConfig:
     data: str = None
 
     def budget(self) -> BudgetSplit:
-        nu = 0.1 * self.alpha if self.nu is None else self.nu
         try:
-            return BudgetSplit(self.alpha, nu)
+            return (BudgetSplit.default(self.alpha) if self.nu is None
+                    else BudgetSplit(self.alpha, self.nu))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -155,6 +156,10 @@ class ExperimentConfig:
                               f"(expected one of {', '.join(_COVERAGE_PROBLEMS)})")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.n_draws < 1000:
+            raise ConfigError("n_draws must be >= 1000")
+        if not self.phi > 0:
+            raise ConfigError("phi must be positive")
         for key, values, names in (("cov_kinds", self.cov_kinds, _CELL_NOISE),
                                    ("bound_kind", (self.bound_kind,), _WIDTH_FNS),
                                    ("ci_kind", (self.ci_kind,), _CI_FNS)):
@@ -196,6 +201,10 @@ class ResultRow:
                 raise ValueError("coverage must lie in [0, 1]")
 
 
+_ROW_FIELDS = fields(ResultRow)
+CSV_HEADER = ",".join(f.name for f in _ROW_FIELDS)
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -210,30 +219,22 @@ def write_csv(rows, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in rows:
-            fh.write(",".join(_fmt(v) for v in (
-                r.scenario, r.method, r.param_theta, r.param_C, r.param_m,
-                r.param_phi, r.median_width, r.q05_width, r.q95_width,
-                r.coverage, r.runtime_ms)) + "\n")
+            fh.write(",".join(_fmt(getattr(r, f.name)) for f in _ROW_FIELDS) + "\n")
+
+
+# Cells parse by their ResultRow annotation; empty numeric cells keep the default.
+_CELL_PARSERS = {"str": str, "float": float, "int": lambda v: int(float(v))}
 
 
 def read_csv(path):
     """Round-trip reader for the documented schema."""
-    rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_HEADER.split(","):
             raise ConfigError("unexpected CSV header")
-        for rec in reader:
-            def num(key, cast=float):
-                v = rec[key]
-                return None if v == "" else cast(v)
-            rows.append(ResultRow(
-                rec["scenario"], rec["method"],
-                num("param_theta"), num("param_C"),
-                num("param_m", lambda s: int(float(s))), num("param_phi"),
-                num("median_width"), num("q05_width"), num("q95_width"),
-                num("coverage"), num("runtime_ms", lambda s: int(float(s))) or 0))
-    return rows
+        return [ResultRow(**{f.name: _CELL_PARSERS[f.type](rec[f.name])
+                             for f in _ROW_FIELDS if rec[f.name] or f.type == "str"})
+                for rec in reader]
 
 
 # ---------------------------------------------------------------------------
@@ -307,40 +308,35 @@ def apply_env_seed(cfg: ExperimentConfig) -> ExperimentConfig:
 
 def generate_mu(m: int, theta: float, C: float) -> np.ndarray:
     """Mean profile -|i - (m+1)/2|^theta rescaled so max - min = C exactly."""
-    if m < 2:
-        raise ConfigError("m must be >= 2")
-    if theta <= 0 or C <= 0:
-        raise ConfigError("theta and C must be positive")
-    i = np.arange(1, m + 1, dtype=float)
-    raw = -np.abs(i - 0.5 * (m + 1)) ** theta
-    spread = raw.max() - raw.min()
-    if spread == 0.0:
-        raise ConfigError("degenerate mean profile (all entries equal)")
-    mu = raw * (C / spread)
-    return mu - mu.max()
+    return generate_mu_reference_scaled(m, theta, C, m_ref=m)
 
 
 def generate_mu_reference_scaled(m: int, theta: float, C: float,
                                  m_ref: int = 10) -> np.ndarray:
-    """Mean profile whose scale is fixed at the reference size m_ref.
+    """Mean profile -|i - (m+1)/2|^theta scaled to range C at size m_ref.
 
     For m > m_ref the range exceeds C: the added candidates fall far below
     the maximum instead of compressing the profile.
     """
     if m < 2:
         raise ConfigError("m must be >= 2")
+    if not (0.0 < theta < math.inf and 0.0 < C < math.inf):
+        raise ConfigError(f"theta and C must be positive and finite, got {theta}, {C}")
     i_ref = np.arange(1, m_ref + 1, dtype=float)
     raw_ref = -np.abs(i_ref - 0.5 * (m_ref + 1)) ** theta
-    scale = C / (raw_ref.max() - raw_ref.min())
+    spread = raw_ref.max() - raw_ref.min()
+    if not 0.0 < spread < math.inf:
+        raise ConfigError("degenerate mean profile (zero or overflowing range)")
     i = np.arange(1, m + 1, dtype=float)
-    mu = -np.abs(i - 0.5 * (m + 1)) ** theta * scale
+    mu = -np.abs(i - 0.5 * (m + 1)) ** theta * (C / spread)
     return mu - mu.max()
 
 
 def rbf_covariance(m: int, phi: float) -> np.ndarray:
     idx = np.arange(m, dtype=float)
     diff = idx[:, None] - idx[None, :]
-    return np.exp(-(diff**2) / (2.0 * phi**2))
+    # np.square: a huge phi gives inf (all-ones covariance), not OverflowError.
+    return np.exp(-(diff**2) / (2.0 * np.square(phi)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +365,7 @@ def _width_row(scenario, method, widths, covered, runtime_ms, **params) -> Resul
 
 def run_figure1(config: ExperimentConfig):
     budget = config.budget()
-    alpha, nu = budget.alpha, budget.nu
+    alpha = budget.alpha
     rows = []
     q_sim = 2.0 * max_abs_quantile_iid(2, alpha)
     q_nom = 2.0 * max_abs_quantile_iid(1, alpha)
@@ -454,12 +450,11 @@ def _cell_outcomes(config, theta, C, m, cov_kind, stream):
 
 def _winner_trials(config, budget, mu, ys, q, cov_kind):
     alpha = budget.alpha
-    margin = 4.0 * q(budget.nu)
     win = ys.argmax(axis=1)
     top = ys[np.arange(len(ys)), win]
     truth = mu[win]
-    halves = {"local": np.array([q(budget.inference_level, y >= t - margin)
-                                 for y, t in zip(ys, top)]),
+    masks = _winner_mask(ys, q(budget.nu))
+    halves = {"local": np.array([q(budget.inference_level, mask) for mask in masks]),
               "simultaneous": np.full(len(ys), q(alpha)),
               "nominal": np.full(len(ys), max_abs_quantile_iid(1, alpha))}
     widths = {k: 2.0 * h for k, h in halves.items()}
@@ -477,12 +472,11 @@ def _winner_trials(config, budget, mu, ys, q, cov_kind):
 def _filedrawer_trials(config, budget, mu, ys, q, cov_kind):
     # A trial that selects nothing covers trivially and has no width.  Else
     # its plausible set contains the realized one and so is nonempty.
-    T = config.threshold
-    margin = 2.0 * q(budget.nu)
-    realized = ys >= T
+    realized = ys >= config.threshold
     hit = realized.any(axis=1)
-    halves = {"local": np.array([q(budget.inference_level, y >= T - margin) if h
-                                 else np.nan for y, h in zip(ys, hit)]),
+    masks = _filedrawer_mask(ys, config.threshold, q(budget.nu))
+    halves = {"local": np.array([q(budget.inference_level, mask) if h else np.nan
+                                 for mask, h in zip(masks, hit)]),
               "simultaneous": np.where(hit, q(budget.alpha), np.nan)}
     worst = np.where(realized, np.abs(ys - mu), -np.inf).max(axis=1)
     widths = {k: 2.0 * h for k, h in halves.items()}
@@ -541,7 +535,7 @@ def run_winner_np(config: ExperimentConfig):
             t0 = time.perf_counter()
             signal = _np_theta_means(config, float(theta))
             truth_all = signal + (1.0 - config.signal_frac) * noise_mean
-            w_margin = _WIDTH_FNS[config.bound_kind](n, nu / m)
+            w_margin = _np_margin(n, m, budget, config.bound_kind)
             widths = {k: [] for k in ("local", "simultaneous", "conditional", "nominal")}
             covered = {k: [] for k in widths}
             gen = RngSpec(config.seed, stream).generator()
@@ -614,8 +608,7 @@ def _lasso_design(config, gen) -> Design:
     return Design(X)
 
 
-def _lasso_beta(config) -> np.ndarray:
-    lam = config.lambda0 * math.sqrt(2.0 * math.log(math.e * config.d))
+def _lasso_beta(config, lam) -> np.ndarray:
     k = math.ceil(config.sparsity * config.d)
     beta = np.zeros(config.d)
     half = k // 2
@@ -629,7 +622,7 @@ def run_lasso(config: ExperimentConfig):
     lam = config.lambda0 * math.sqrt(2.0 * math.log(math.e * config.d))
     gen = RngSpec(config.seed, 4000).generator()
     design = _lasso_design(config, gen)
-    beta = _lasso_beta(config)
+    beta = _lasso_beta(config, lam)
     mu = design.X @ beta
     s_nu = 2.0 * column_max_quantile(design, config.sigma, budget.nu,
                                      RngSpec(config.seed, 4001), config.n_draws)

@@ -304,10 +304,11 @@ def safe_screening(design: Design, y, pair: ModelSignPair, lam: float, s_nu: flo
     return safe_in, safe_out
 
 
-def _neighbors(design: Design, pair: ModelSignPair, lam: float, box: Polyhedron, safe):
+def _neighbors(design: Design, pair: ModelSignPair, lam: float, box: Polyhedron, safe,
+               seen=frozenset()):
     """(neighbors, LPs run): the pairs across the faces of the pair's event
     that are active within the box, one LP per face not screened by the
-    safe sets (safe_in, safe_out)."""
+    safe sets (safe_in, safe_out) and not leading to a pair in ``seen``."""
     safe_in, safe_out = safe
     event, faces = _selection_event(design, pair, lam)
     neighbors = set()
@@ -315,10 +316,12 @@ def _neighbors(design: Design, pair: ModelSignPair, lam: float, box: Polyhedron,
     for i, face in enumerate(faces):
         if face[1] in (safe_out if face[0] == "enter" else safe_in):
             continue
+        across = pair.add(face[1], face[2]) if face[0] == "enter" else pair.drop(face[1])
+        if across in seen:
+            continue
         n_lps += 1
         if constraint_nonredundant(event, i, box, eps=_LP_EPS).nonredundant:
-            neighbors.add(pair.add(face[1], face[2]) if face[0] == "enter"
-                          else pair.drop(face[1]))
+            neighbors.add(across)
     return neighbors, n_lps
 
 
@@ -393,12 +396,11 @@ def enumerate_plausible_models(design: Design, y, lam: float, budget: BudgetSpli
                 raise RuntimeError(f"visited pair {pair} does not intersect the box")
         safe = safe_screening(design, y, pair, lam, s_nu) if use_safe else (set(), set())
         safe_skips += len(safe[0]) + len(safe[1])
-        neighbors, n_lps = _neighbors(design, pair, lam, box, safe)
+        neighbors, n_lps = _neighbors(design, pair, lam, box, safe, seen)
         lp_count += n_lps
         for nb in sorted(neighbors, key=lambda p: (p.M, p.s)):
-            if nb not in seen:
-                seen.add(nb)
-                todo.append(nb)
+            seen.add(nb)
+            todo.append(nb)
         if len(seen) > p_max:
             capped = True
             break

@@ -135,13 +135,7 @@ class FileDrawerProblem:
     noise: GaussianNoise
     budget: BudgetSplit
 
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).ravel()
-        if y.size == 0 or not np.all(np.isfinite(y)):
-            raise ValueError("y must be a nonempty finite vector")
-        if y.size != self.noise.dimension:
-            raise ValueError("y and noise dimensions disagree")
-        object.__setattr__(self, "y", y)
+    __post_init__ = WinnerProblem.__post_init__
 
 
 class SampleMatrix:
@@ -173,6 +167,20 @@ class SampleMatrix:
 # Screening sets
 # ---------------------------------------------------------------------------
 
+# Screening margins in units of the nu-level quantile q_nu.
+_WINNER_SLACK, _FILEDRAWER_SLACK = 4.0, 2.0
+
+
+def _winner_mask(y, q_nu):
+    """Winner screening along the last axis: within 4*q_nu of the maximum."""
+    return y >= y.max(axis=-1, keepdims=True) - _WINNER_SLACK * q_nu
+
+
+def _filedrawer_mask(y, threshold, q_nu):
+    """File-drawer screening along the last axis: y >= T - 2*q_nu."""
+    return y >= threshold - _FILEDRAWER_SLACK * q_nu
+
+
 def plausible_winner_set(y, q_nu: float, nu: float = float("nan")) -> PlausibleSet:
     """Candidates within 4*q_nu of the maximum.
 
@@ -184,9 +192,8 @@ def plausible_winner_set(y, q_nu: float, nu: float = float("nan")) -> PlausibleS
         raise ValueError("y must be nonempty")
     if q_nu < 0:
         raise ValueError("q_nu must be nonnegative")
-    winner = int(np.argmax(y))
-    keep = np.flatnonzero(y >= y[winner] - 4.0 * q_nu)
-    return PlausibleSet(keep, np.array([winner]), 4.0 * q_nu, nu)
+    keep = np.flatnonzero(_winner_mask(y, q_nu))
+    return PlausibleSet(keep, np.array([int(np.argmax(y))]), _WINNER_SLACK * q_nu, nu)
 
 
 def plausible_filedrawer_set(y, threshold: float, q_nu: float,
@@ -196,9 +203,9 @@ def plausible_filedrawer_set(y, threshold: float, q_nu: float,
     y = np.asarray(y, dtype=float).ravel()
     if q_nu < 0:
         raise ValueError("q_nu must be nonnegative")
-    keep = np.flatnonzero(y >= threshold - 2.0 * q_nu)
+    keep = np.flatnonzero(_filedrawer_mask(y, threshold, q_nu))
     realized = np.flatnonzero(y >= threshold)
-    return PlausibleSet(keep, realized, 2.0 * q_nu, nu)
+    return PlausibleSet(keep, realized, _FILEDRAWER_SLACK * q_nu, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +266,13 @@ def filedrawer_region(problem: FileDrawerProblem, rng: RngSpec,
 _WIDTH_FNS = {"hoeffding": hoeffding_width, "bentkus": bentkus_width}
 
 
-def _np_margin(samples: SampleMatrix, budget: BudgetSplit, bound_kind: str) -> float:
+def _np_margin(n: int, m: int, budget: BudgetSplit, bound_kind: str) -> float:
+    """Screening quantile of m means of n bounded samples each."""
     try:
         width_fn = _WIDTH_FNS[bound_kind]
     except KeyError:
         raise ValueError(f"unknown bound_kind {bound_kind!r}") from None
-    return width_fn(samples.n, budget.nu / samples.m)
+    return width_fn(n, budget.nu / m)
 
 
 def _hoeffding_ci(x, alpha: float):
@@ -284,6 +292,17 @@ def _np_single_ci(samples: SampleMatrix, col: int, level_alpha: float, ci_kind: 
     return ci_fn(samples.data[:, col], level_alpha)
 
 
+def _np_correct(samples: SampleMatrix, plausible: PlausibleSet, budget: BudgetSplit,
+                ci_kind: str) -> IntervalSet:
+    """Correction step of both nonparametric problems: each realized column's
+    interval at the Bonferroni level (alpha - nu) / |plausible set|."""
+    lo, hi = np.array([_np_single_ci(samples, int(col), budget.inference_level
+                                     / plausible.size, ci_kind)
+                       for col in plausible.realized]).reshape(-1, 2).T
+    return IntervalSet(plausible.realized, (lo + hi) / 2.0, (hi - lo) / 2.0,
+                       1.0 - budget.alpha)
+
+
 def np_winner_interval(samples: SampleMatrix, budget: BudgetSplit,
                        bound_kind: str = "bentkus",
                        ci_kind: str = "betting") -> IntervalSet:
@@ -295,14 +314,9 @@ def np_winner_interval(samples: SampleMatrix, budget: BudgetSplit,
     """
     if not isinstance(samples, SampleMatrix):
         samples = SampleMatrix(samples)
-    means = samples.column_means()
-    plausible = plausible_winner_set(means, _np_margin(samples, budget, bound_kind),
-                                     budget.nu)
-    winner = int(plausible.realized[0])
-    level = budget.inference_level / plausible.size
-    lo, hi = _np_single_ci(samples, winner, level, ci_kind)
-    return IntervalSet(np.array([winner]), np.array([(lo + hi) / 2.0]),
-                       np.array([(hi - lo) / 2.0]), 1.0 - budget.alpha)
+    margin = _np_margin(samples.n, samples.m, budget, bound_kind)
+    plausible = plausible_winner_set(samples.column_means(), margin, budget.nu)
+    return _np_correct(samples, plausible, budget, ci_kind)
 
 
 def np_filedrawer_region(samples: SampleMatrix, threshold: float,
@@ -311,21 +325,10 @@ def np_filedrawer_region(samples: SampleMatrix, threshold: float,
     """Nonparametric intervals for every column mean above the threshold."""
     if not isinstance(samples, SampleMatrix):
         samples = SampleMatrix(samples)
-    means = samples.column_means()
-    plausible = plausible_filedrawer_set(
-        means, threshold, _np_margin(samples, budget, bound_kind), budget.nu)
-    realized = plausible.realized
-    if realized.size == 0:
-        return IntervalSet(np.array([], dtype=int), np.array([]), np.array([]),
-                           1.0 - budget.alpha)
-    level = budget.inference_level / plausible.size
-    centers, halves = [], []
-    for col in realized:
-        lo, hi = _np_single_ci(samples, int(col), level, ci_kind)
-        centers.append((lo + hi) / 2.0)
-        halves.append((hi - lo) / 2.0)
-    return IntervalSet(realized, np.array(centers), np.array(halves),
-                       1.0 - budget.alpha)
+    margin = _np_margin(samples.n, samples.m, budget, bound_kind)
+    plausible = plausible_filedrawer_set(samples.column_means(), threshold, margin,
+                                         budget.nu)
+    return _np_correct(samples, plausible, budget, ci_kind)
 
 
 # ---------------------------------------------------------------------------

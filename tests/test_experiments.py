@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -44,6 +45,14 @@ class TestGenerateMu:
         expect = raw * (C / (raw.max() - raw.min()))
         expect -= expect.max()
         assert np.allclose(mu, expect)
+
+    def test_nonpositive_or_infinite_shape_rejected(self):
+        for theta, C in ((0.0, 10.0), (-1.0, 10.0), (2.0, 0.0), (2.0, -5.0),
+                         (math.inf, 10.0), (2.0, math.nan)):
+            with pytest.raises(ConfigError):
+                generate_mu_reference_scaled(10, theta, C)
+            with pytest.raises(ConfigError):
+                generate_mu(10, theta, C)
 
     def test_reference_scaling_appends_far_below(self):
         small = generate_mu_reference_scaled(10, 2.0, 10.0)
@@ -144,7 +153,11 @@ class TestConfigFile:
                     {"kind": "winner", "m_grid": (10.5,)},
                     {"kind": "winner-np", "n_grid": (100, 50.5)},
                     {"kind": "sphere", "d_grid": (3.7,)},
-                    {"kind": "sphere", "d_grid": (0,)}):
+                    {"kind": "sphere", "d_grid": (0,)},
+                    {"kind": "winner", "n_draws": 0},
+                    {"kind": "filedrawer", "n_draws": 5},
+                    {"kind": "winner", "phi": 0.0},
+                    {"kind": "filedrawer", "phi": -3.0}):
             with pytest.raises(ConfigError):
                 ExperimentConfig(**bad).validate()
         with pytest.raises(ConfigError):
@@ -270,7 +283,15 @@ class TestCli:
                            ("winner", "m_grid = 10.5\n"),
                            ("winner-np", "n_grid = 50.5\n"),
                            ("sphere", "d_grid = 3.7\n"),
-                           ("sphere", "d_grid = 0\n")):
+                           ("sphere", "d_grid = 0\n"),
+                           ("winner", "n_draws = 0\n"),
+                           ("winner", "n_draws = 5\n"),
+                           ("filedrawer", "phi = 0\n"),
+                           ("winner", "phi = -3\n"),
+                           ("filedrawer", "theta_grid = 0\n"),
+                           ("winner", "theta_grid = -1\n"),
+                           ("winner", "c_grid = 0\n"),
+                           ("filedrawer", "c_grid = -5\n")):
             cfg.write_text(text)
             res = _cli(kind, "--config", str(cfg), "--trials", "1")
             assert res.returncode == 2, (kind, text, res.stderr)

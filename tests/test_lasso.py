@@ -236,6 +236,17 @@ class TestEnumeratePlausibleModels:
             assert with_safe == without
             assert fr1.lp_count <= fr2.lp_count
 
+    def test_found_pairs_are_not_tested_again(self):
+        # Without the safe rules every face needs an LP, unless the pair
+        # across it was already found: each adjacency between two visited
+        # pairs is then tested from one side only.
+        design, y = random_instance(201, d=3)
+        _, frontier = enumerate_plausible_models(
+            design, y, 0.8, BUDGET, 1.0, RngSpec(1), 2000, use_safe=False, s_nu=0.7)
+        faces = sum(2 * design.d - len(pair.M) for pair in frontier.visited)
+        assert len(frontier.visited) >= 2
+        assert frontier.lp_count < faces
+
     def test_pmax_cap_falls_back_to_all_models(self):
         design, y = random_instance(33, d=3)
         models, frontier = enumerate_plausible_models(

@@ -135,7 +135,7 @@ class TestNpWinnerInterval:
     def test_margin_formula(self):
         gen = np.random.default_rng(2)
         samples = SampleMatrix(gen.beta(2, 5, size=(100, 5)))
-        margin = 4.0 * _np_margin(samples, BUDGET, "hoeffding")
+        margin = 4.0 * _np_margin(samples.n, samples.m, BUDGET, "hoeffding")
         assert margin == pytest.approx(4.0 * math.sqrt(math.log(2 * 5 / 0.01) / 200.0),
                                        abs=1e-12)
         assert margin == pytest.approx(0.743384, abs=1e-5)
