@@ -26,7 +26,8 @@ Scenario notes
   interval is exact.  The nonparametric runner adds a normal-approximation
   heuristic arm (the same interval with the pooled column sd plugged in for
   sigma) that carries no guarantee: it measures about 0.894 coverage at
-  n=100, theta=4 against 0.9 nominal, short in the lower tail.
+  n=100, theta=4 against 0.9 nominal, short in the lower tail.  The
+  conditional arm runs once per grid cell, on all of its trials at once.
 """
 
 from __future__ import annotations
@@ -174,6 +175,15 @@ class ExperimentConfig:
                     raise ConfigError(f"{key} entries must be positive whole numbers, "
                                       f"got {value!r}")
         self.budget()
+        # Every mean profile the run will build, checked before any cell runs.
+        kind = self.problem if self.kind == "coverage" else self.kind
+        if kind in ("winner", "filedrawer"):
+            for theta, C, m in itertools.product(self.theta_grid, self.c_grid,
+                                                 self.m_grid):
+                generate_mu_reference_scaled(int(m), float(theta), float(C))
+        elif kind == "winner-np" and self.data is None:
+            for theta in self.theta_grid:
+                generate_mu(self.m, float(theta), 1.0)
         return self
 
 
@@ -328,7 +338,10 @@ def generate_mu_reference_scaled(m: int, theta: float, C: float,
     if not 0.0 < spread < math.inf:
         raise ConfigError("degenerate mean profile (zero or overflowing range)")
     i = np.arange(1, m + 1, dtype=float)
-    mu = -np.abs(i - 0.5 * (m + 1)) ** theta * (C / spread)
+    with np.errstate(over="ignore"):
+        mu = -np.abs(i - 0.5 * (m + 1)) ** theta * (C / spread)
+    if not np.all(np.isfinite(mu)):
+        raise ConfigError(f"mean profile overflows at m={m}, theta={theta}, C={C}")
     return mu - mu.max()
 
 
@@ -359,6 +372,13 @@ def _width_row(scenario, method, widths, covered, runtime_ms, **params) -> Resul
                      q95_width=q95, coverage=cov, runtime_ms=runtime_ms, **params)
 
 
+def _conditional_arm(ys, sigma, alpha, truth):
+    """Widths and coverage of the conditional interval on (trials, m) outcomes."""
+    lo, hi = conditional_winner_interval(ys, sigma, alpha)
+    with np.errstate(invalid="ignore"):  # both ends at one infinity: width nan
+        return hi - lo, (lo <= truth) & (truth <= hi)
+
+
 # ---------------------------------------------------------------------------
 # figure1: two candidates, vary the mean gap
 # ---------------------------------------------------------------------------
@@ -374,21 +394,16 @@ def run_figure1(config: ExperimentConfig):
         mu = np.array([0.0, float(delta)])
         gen = RngSpec(config.seed, 100 + di).generator()
         ys = mu + gen.standard_normal((config.trials, 2))
-        widths = {k: [] for k in ("local", "simultaneous", "conditional", "nominal")}
-        covered = {k: [] for k in widths}
-        for y in ys:
-            win = int(np.argmax(y))
-            truth = mu[win]
-            iv = two_candidate_interval(y, budget, 1.0)
-            widths["local"].append(iv.widths[0])
-            covered["local"].append(abs(truth - iv.centers[0]) <= iv.half_widths[0])
-            widths["simultaneous"].append(q_sim)
-            covered["simultaneous"].append(abs(truth - y[win]) <= q_sim / 2.0)
-            lo, hi = conditional_winner_interval(y, 1.0, alpha)
-            widths["conditional"].append(hi - lo)
-            covered["conditional"].append(lo <= truth <= hi)
-            widths["nominal"].append(q_nom)
-            covered["nominal"].append(abs(truth - y[win]) <= q_nom / 2.0)
+        top, truth = ys.max(axis=1), mu[ys.argmax(axis=1)]
+        local = np.array([two_candidate_interval(y, budget, 1.0).half_widths[0]
+                          for y in ys])
+        cond_w, cond_hit = _conditional_arm(ys, 1.0, alpha, truth)
+        widths = {"local": 2.0 * local, "simultaneous": np.full(len(ys), q_sim),
+                  "conditional": cond_w, "nominal": np.full(len(ys), q_nom)}
+        covered = {"local": np.abs(truth - top) <= local,
+                   "simultaneous": np.abs(truth - top) <= q_sim / 2.0,
+                   "conditional": cond_hit,
+                   "nominal": np.abs(truth - top) <= q_nom / 2.0}
         ms = int(1000 * (time.perf_counter() - t0))
         for method in widths:
             rows.append(_width_row(f"figure1:delta={delta:g}", method,
@@ -460,12 +475,8 @@ def _winner_trials(config, budget, mu, ys, q, cov_kind):
     widths = {k: 2.0 * h for k, h in halves.items()}
     covered = {k: np.abs(top - truth) <= h for k, h in halves.items()}
     if cov_kind == "iid":
-        ivs = [conditional_winner_interval(y, 1.0, alpha) for y in ys]
-        lo, hi = np.array(ivs).T
-        # Plain floats: an interval with both ends at the same infinity has
-        # width nan, without numpy's warning.
-        widths["conditional"] = [b - a for a, b in ivs]
-        covered["conditional"] = (lo <= truth) & (truth <= hi)
+        widths["conditional"], covered["conditional"] = _conditional_arm(
+            ys, 1.0, alpha, truth)
     return widths, covered
 
 
@@ -538,6 +549,7 @@ def run_winner_np(config: ExperimentConfig):
             w_margin = _np_margin(n, m, budget, config.bound_kind)
             widths = {k: [] for k in ("local", "simultaneous", "conditional", "nominal")}
             covered = {k: [] for k in widths}
+            cond = []
             gen = RngSpec(config.seed, stream).generator()
             stream += 1
             for _ in range(config.trials):
@@ -563,9 +575,10 @@ def run_winner_np(config: ExperimentConfig):
                     widths[method].append(hi - lo)
                     covered[method].append(lo <= truth <= hi)
                 sd_pool = float(np.mean(data.std(axis=0, ddof=1))) / math.sqrt(n)
-                lo, hi = conditional_winner_interval(means, sd_pool, alpha)
-                widths["conditional"].append(hi - lo)
-                covered["conditional"].append(lo <= truth <= hi)
+                cond.append((means, sd_pool, truth))
+            means, sds, truths = (np.array(v) for v in zip(*cond))
+            widths["conditional"], covered["conditional"] = _conditional_arm(
+                means, sds, alpha, truths)
             ms = int(1000 * (time.perf_counter() - t0))
             for method in widths:
                 rows.append(_width_row(f"winner-np:n={n}", method, widths[method],

@@ -361,18 +361,23 @@ def two_candidate_interval(y, budget: BudgetSplit, sigma: float = 1.0) -> Interv
 # Conditional truncated-Gaussian baseline (iid case)
 # ---------------------------------------------------------------------------
 
-def _truncated_cdf(x: float, mu: float, sigma: float, lower: float) -> float:
-    """P(X <= x | X >= lower) for X ~ N(mu, sigma^2), in log space."""
-    zx = (x - mu) / sigma
-    za = (lower - mu) / sigma
-    # Survival ratio S(zx)/S(za) via log-normal-survival differences.
-    log_ratio = log_ndtr(-zx) - log_ndtr(-za)
-    return float(-math.expm1(min(log_ratio, 0.0)))
+def _truncated_cdf(x, mu, sigma, lower):
+    """P(X <= x | X >= lower) for X ~ N(mu, sigma^2), in log space, element-wise."""
+    # Log survival ratio S(zx)/S(za), each term as log S(z) = log_ndtr(-z).
+    r = np.minimum(log_ndtr((mu - x) / sigma) - log_ndtr((mu - lower) / sigma), 0.0)
+    # The C library's expm1 per element: numpy's vectorized expm1 can differ
+    # from it in the last bit, and that moves an endpoint.
+    return -np.fromiter(map(math.expm1, r.ravel().tolist()), float, r.size).reshape(r.shape)
 
 
-def conditional_winner_interval(y, sigma: float, alpha: float):
+def conditional_winner_interval(y, sigma, alpha: float):
     """Truncated-Gaussian conditional interval for the winner's mean
     (iid N(mu, sigma^2 I) model).
+
+    ``y`` is one outcome of shape (m,), or a batch of shape (trials, m) with
+    ``sigma`` a scalar or one value per row; the interval is computed along
+    the last axis.  A single outcome returns two floats (lower, upper); a
+    batch returns two arrays of shape (trials,).
 
     Conditional on the selection, the winning observation is Gaussian
     truncated to [runner-up, inf).  Endpoints are the mu values at which the
@@ -388,36 +393,28 @@ def conditional_winner_interval(y, sigma: float, alpha: float):
     about 0.894 coverage at n=100, theta=4, alpha=0.1, with the shortfall
     in the lower tail (truth below the interval).
     """
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size < 2:
-        raise ValueError("need at least two candidates")
-    if sigma <= 0:
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2) or y.shape[-1] < 2:
+        raise ValueError("y must have shape (m,) or (trials, m) with m >= 2")
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), y.shape[:-1])
+    if not np.all(sigma > 0):
         raise ValueError("sigma must be positive")
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    winner = int(np.argmax(y))
-    x = float(y[winner])
-    lower = float(np.max(np.delete(y, winner)))
-
-    def solve(target: float) -> float:
-        lo, hi = x - 20.0 * sigma, x + 20.0 * sigma
-        f_lo = _truncated_cdf(x, lo, sigma, lower)
-        f_hi = _truncated_cdf(x, hi, sigma, lower)
-        # The CDF decreases in mu.
-        if f_lo < target:
-            return -math.inf
-        if f_hi > target:
-            return math.inf
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                # lo and hi are adjacent floats: further halvings leave
-                # 0.5 * (lo + hi) where it is.
-                break
-            if _truncated_cdf(x, mid, sigma, lower) >= target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    return (solve(1.0 - alpha / 2.0), solve(alpha / 2.0))
+    top2 = np.partition(y, -2, axis=-1)
+    lower, x = top2[..., -2], top2[..., -1]
+    # Both endpoints at once, on a leading axis; the CDF decreases in mu.
+    target = np.array([1.0 - alpha / 2.0, alpha / 2.0]).reshape((2,) + (1,) * x.ndim)
+    lo, hi = x - 20.0 * sigma, x + 20.0 * sigma
+    f_lo, f_hi = _truncated_cdf(x, lo, sigma, lower), _truncated_cdf(x, hi, sigma, lower)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        # A row is done once lo and hi are adjacent floats: 0.5 * (lo + hi)
+        # then equals lo or hi, and further steps leave it there.
+        if ((mid == lo) | (mid == hi)).all():
+            break
+        up = _truncated_cdf(x, mid, sigma, lower) >= target
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    ends = np.where(f_lo < target, -np.inf,
+                    np.where(f_hi > target, np.inf, 0.5 * (lo + hi)))
+    return ends[0][()], ends[1][()]

@@ -3,7 +3,10 @@
 These deliberately avoid the code paths they check: the normal quantile
 oracle integrates the density and bisects, the LP oracle enumerates
 vertices, the LASSO grid oracle re-solves the program by proximal gradient
-over a sweep of the sufficient-statistic box.
+over a sweep of the sufficient-statistic box.  The conditional-interval
+oracle is the one-outcome-at-a-time bisection that the batched
+``conditional_winner_interval`` replaced; the batch must match it bit for
+bit.
 """
 
 import math
@@ -11,6 +14,7 @@ from itertools import combinations
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import log_ndtr
 
 
 def normal_cdf_quad(x: float) -> float:
@@ -118,3 +122,50 @@ def exact_rademacher_mean_abs(n: int) -> float:
 
 def binomial_se(p: float, trials: int) -> float:
     return math.sqrt(p * (1.0 - p) / trials)
+
+
+def truncated_cdf_scalar(x: float, mu: float, sigma: float, lower: float) -> float:
+    """P(X <= x | X >= lower) for X ~ N(mu, sigma^2), in log space."""
+    zx = (x - mu) / sigma
+    za = (lower - mu) / sigma
+    # Survival ratio S(zx)/S(za) via log-normal-survival differences.
+    log_ratio = log_ndtr(-zx) - log_ndtr(-za)
+    return float(-math.expm1(min(log_ratio, 0.0)))
+
+
+def conditional_winner_interval_scalar(y, sigma: float, alpha: float):
+    """One outcome at a time: the scalar bisection that the batched
+    ``locsim.winner.conditional_winner_interval`` must match bit for bit."""
+    y = np.asarray(y, dtype=float).ravel()
+    if y.size < 2:
+        raise ValueError("need at least two candidates")
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("alpha must lie in (0, 1)")
+    winner = int(np.argmax(y))
+    x = float(y[winner])
+    lower = float(np.max(np.delete(y, winner)))
+
+    def solve(target: float) -> float:
+        lo, hi = x - 20.0 * sigma, x + 20.0 * sigma
+        f_lo = truncated_cdf_scalar(x, lo, sigma, lower)
+        f_hi = truncated_cdf_scalar(x, hi, sigma, lower)
+        # The CDF decreases in mu.
+        if f_lo < target:
+            return -math.inf
+        if f_hi > target:
+            return math.inf
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                # lo and hi are adjacent floats: further halvings leave
+                # 0.5 * (lo + hi) where it is.
+                break
+            if truncated_cdf_scalar(x, mid, sigma, lower) >= target:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    return (solve(1.0 - alpha / 2.0), solve(alpha / 2.0))

@@ -201,19 +201,26 @@ def _np_trials(theta, n, trials, seed, m=50, signal_frac=0.9):
         yield data, means, win, truth_all[win]
 
 
-def _cond_heuristic_hit(data, means, truth):
-    """Normal-approximation conditional arm: pooled-sd plug-in for sigma."""
+def _cond_record(data, means, truth):
+    """(means, pooled sd of a column mean, truth): the heuristic arm's inputs."""
     sd = float(np.mean(data.std(axis=0, ddof=1))) / math.sqrt(data.shape[0])
-    lo, hi = conditional_winner_interval(means, sd, BUDGET.alpha)
-    return lo <= truth <= hi
+    return means, sd, truth
+
+
+def _cond_heuristic_hits_of(records):
+    """Normal-approximation conditional arm, one call for a batch of trials:
+    the pooled sd is plugged in for sigma."""
+    means, sds, truths = (np.array(v) for v in zip(*records))
+    lo, hi = conditional_winner_interval(means, sds, BUDGET.alpha)
+    return (lo <= truths) & (truths <= hi)
 
 
 def _np_cell(theta, n, trials, seed, m=50):
     """One nonparametric grid cell; returns per-trial records."""
     alpha, nu = BUDGET.alpha, BUDGET.nu
     w = bentkus_width(n, nu / m)
-    rec = {"local_w": [], "sim_w": [], "local_hit": [], "sim_hit": [],
-           "cond_hit": []}
+    rec = {"local_w": [], "sim_w": [], "local_hit": [], "sim_hit": []}
+    cond = []
     for data, means, win, truth in _np_trials(theta, n, trials, seed, m):
         k = int(np.sum(means >= means[win] - 4.0 * w))
         grid, peaks = betting_capital_peaks(data[:, win])
@@ -223,14 +230,15 @@ def _np_cell(theta, n, trials, seed, m=50):
         lo, hi = betting_interval_from_peaks(grid, peaks, alpha / m, means[win])
         rec["sim_w"].append(hi - lo)
         rec["sim_hit"].append(lo <= truth <= hi)
-        rec["cond_hit"].append(_cond_heuristic_hit(data, means, truth))
+        cond.append(_cond_record(data, means, truth))
+    rec["cond_hit"] = _cond_heuristic_hits_of(cond)
     return {k: np.asarray(v) for k, v in rec.items()}
 
 
 def _cond_heuristic_hits(theta, n, trials, seed, m=50):
     """The conditional arm of `_np_cell` alone, on the same stream."""
-    return np.array([_cond_heuristic_hit(data, means, truth)
-                     for data, means, _, truth in _np_trials(theta, n, trials, seed, m)])
+    return _cond_heuristic_hits_of([_cond_record(data, means, truth) for data, means, _,
+                                    truth in _np_trials(theta, n, trials, seed, m)])
 
 
 def _cond_gaussian_hits(theta, n, trials, seed, m=50, signal_frac=0.9):
@@ -239,12 +247,10 @@ def _cond_gaussian_hits(theta, n, trials, seed, m=50, signal_frac=0.9):
     _, truth_all = _np_signal(theta, m, signal_frac)
     sd = (1 - signal_frac) * math.sqrt(BETA_VAR / n)
     gen = np.random.default_rng(seed)
-    hits = np.empty(trials, dtype=bool)
-    for t in range(trials):
-        means = truth_all + sd * gen.standard_normal(m)
-        lo, hi = conditional_winner_interval(means, sd, BUDGET.alpha)
-        hits[t] = lo <= truth_all[int(np.argmax(means))] <= hi
-    return hits
+    means = truth_all + sd * gen.standard_normal((trials, m))
+    lo, hi = conditional_winner_interval(means, sd, BUDGET.alpha)
+    truths = truth_all[means.argmax(axis=1)]
+    return (lo <= truths) & (truths <= hi)
 
 
 @pytest.mark.slow

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,14 @@ class TestGenerateMu:
                 generate_mu_reference_scaled(10, theta, C)
             with pytest.raises(ConfigError):
                 generate_mu(10, theta, C)
+
+    def test_overflowing_profile_rejected(self):
+        # 49.5**300 exceeds the float range at m = 100 although the m = 10
+        # reference range 4.5**300 does not: no profile, and no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError):
+                generate_mu_reference_scaled(100, 300.0, 10.0)
 
     def test_reference_scaling_appends_far_below(self):
         small = generate_mu_reference_scaled(10, 2.0, 10.0)
@@ -157,7 +166,12 @@ class TestConfigFile:
                     {"kind": "winner", "n_draws": 0},
                     {"kind": "filedrawer", "n_draws": 5},
                     {"kind": "winner", "phi": 0.0},
-                    {"kind": "filedrawer", "phi": -3.0}):
+                    {"kind": "filedrawer", "phi": -3.0},
+                    {"kind": "winner", "theta_grid": (0.5, 0)},
+                    {"kind": "filedrawer", "c_grid": (10, -5)},
+                    {"kind": "winner", "theta_grid": (300,), "m_grid": (100,)},
+                    {"kind": "coverage", "problem": "filedrawer", "c_grid": (10, -5)},
+                    {"kind": "winner-np", "theta_grid": (2.0, -1.0)}):
             with pytest.raises(ConfigError):
                 ExperimentConfig(**bad).validate()
         with pytest.raises(ConfigError):
@@ -291,11 +305,14 @@ class TestCli:
                            ("filedrawer", "theta_grid = 0\n"),
                            ("winner", "theta_grid = -1\n"),
                            ("winner", "c_grid = 0\n"),
-                           ("filedrawer", "c_grid = -5\n")):
+                           ("filedrawer", "c_grid = -5\n"),
+                           ("winner", "theta_grid = 300\nm_grid = 100\ncov_kinds = iid\n"
+                                      "c_grid = 10\n")):
             cfg.write_text(text)
             res = _cli(kind, "--config", str(cfg), "--trials", "1")
             assert res.returncode == 2, (kind, text, res.stderr)
             assert "configuration error" in res.stderr
+            assert "Warning" not in res.stderr
 
     def test_missing_config_file_exit_code(self):
         res = _cli("winner", "--config", "/nonexistent/cfg")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from locsim.stats_core import GaussianNoise, RngSpec, hoeffding_width, max_abs_quantile_iid, normal_quantile
 from locsim.theory_core import BudgetSplit
@@ -21,7 +23,7 @@ from locsim.winner import (
 from locsim.winner import _np_margin
 from locsim.experiments import rbf_covariance
 
-from oracles import binomial_se
+from oracles import binomial_se, conditional_winner_interval_scalar
 
 BUDGET = BudgetSplit(0.1, 0.01)
 
@@ -223,6 +225,38 @@ class TestConditionalWinnerInterval:
     def test_near_tie_degenerates(self):
         lo, hi = conditional_winner_interval(np.array([0.0, -1e-12]), 1.0, 0.1)
         assert lo == -math.inf
+
+    @settings(deadline=None, max_examples=40)
+    @given(y=arrays(np.float64, st.tuples(st.integers(2, 8), st.integers(2, 12)),
+                    elements=st.floats(-1.0, 1.0)),
+           scale=st.sampled_from([1e-3, 1.0, 1e3, 1e6]),
+           sigma=st.floats(1e-6, 40.0), per_row=st.booleans(),
+           gap=st.floats(0.0, 1e-3), alpha=st.floats(0.01, 0.5))
+    def test_batch_matches_scalar_oracle(self, y, scale, sigma, per_row, gap, alpha):
+        y = y * scale
+        # Plant a near-tie (row 0) and a row with every candidate tied (row 1).
+        y[0, :2] = y[0].max(), y[0].max() - gap * sigma
+        y[1] = y[1, 0]
+        sig = sigma * (1.0 + np.arange(len(y))) if per_row else sigma
+        lo, hi = conditional_winner_interval(y, sig, alpha)
+        assert lo.shape == hi.shape == (len(y),)
+        assert lo[1] == hi[1] == -math.inf
+        for t, s in enumerate(np.broadcast_to(sig, lo.shape)):
+            expect = conditional_winner_interval_scalar(y[t], float(s), alpha)
+            assert (lo[t], hi[t]) == expect
+        single = conditional_winner_interval(y[0], float(np.ravel(sig)[0]), alpha)
+        assert all(isinstance(v, float) for v in single)
+        assert single == (lo[0], hi[0])
+
+    def test_bad_input_rejected(self):
+        y = np.arange(12.0).reshape(3, 4)
+        for args in ((y, np.array([1.0, 0.0, 1.0])),  # a per-row sigma of 0
+                     (y, np.ones(2)),                  # one sigma per row, wrong count
+                     (y[None], 1.0),                   # 3-d outcomes
+                     (y[:, :1], 1.0),                  # m = 1
+                     (y[0, :1], 1.0)):
+            with pytest.raises(ValueError):
+                conditional_winner_interval(*args, 0.1)
 
     def test_conditional_coverage_given_selection(self):
         trials = 2000
