@@ -20,7 +20,9 @@ Scenario notes
   nonparametric margin.
 * winner-np: samples are signal_frac * mu01 + (1 - signal_frac) * xi with
   xi ~ Beta(a, b) iid, keeping everything inside [0, 1]; mu01 is the mean
-  profile mapped affinely onto [0, 1].
+  profile mapped affinely onto [0, 1].  The winner's local, simultaneous
+  and nominal intervals come from one call of the library's CI (betting or
+  Hoeffding, as ``np_winner_interval`` uses them) at the three levels.
 * conditional baselines run only where defined: iid Gaussian winner
   problems and the two-candidate setting, where the truncated-Gaussian
   interval is exact.  The nonparametric runner adds a normal-approximation
@@ -55,10 +57,7 @@ from .sphere import SphereProblem, cap_quantile, sphere_interval
 from .stats_core import (
     GaussianNoise,
     RngSpec,
-    betting_capital_peaks,
-    betting_interval_from_peaks,
     conservative_quantile,
-    hoeffding_width,
     max_abs_quantile_iid,
     normal_quantile,
 )
@@ -372,6 +371,14 @@ def _width_row(scenario, method, widths, covered, runtime_ms, **params) -> Resul
                      q95_width=q95, coverage=cov, runtime_ms=runtime_ms, **params)
 
 
+def _cell_rows(scenario, widths, covered, t0, **params):
+    """One row per method of a cell, each stamped with the cell's wall time
+    since ``t0``."""
+    ms = int(1000 * (time.perf_counter() - t0))
+    return [_width_row(scenario, method, widths[method], covered[method], ms, **params)
+            for method in widths]
+
+
 def _conditional_arm(ys, sigma, alpha, truth):
     """Widths and coverage of the conditional interval on (trials, m) outcomes."""
     lo, hi = conditional_winner_interval(ys, sigma, alpha)
@@ -404,10 +411,7 @@ def run_figure1(config: ExperimentConfig):
                    "simultaneous": np.abs(truth - top) <= q_sim / 2.0,
                    "conditional": cond_hit,
                    "nominal": np.abs(truth - top) <= q_nom / 2.0}
-        ms = int(1000 * (time.perf_counter() - t0))
-        for method in widths:
-            rows.append(_width_row(f"figure1:delta={delta:g}", method,
-                                   widths[method], covered[method], ms))
+        rows.extend(_cell_rows(f"figure1:delta={delta:g}", widths, covered, t0))
     return rows
 
 
@@ -506,12 +510,9 @@ def _run_grid(config, scenario, trials_fn, stream):
         mu, ys, q = _cell_outcomes(config, theta, C, m, cov_kind, stream)
         stream += 1
         widths, covered = trials_fn(config, budget, mu, ys, q, cov_kind)
-        ms = int(1000 * (time.perf_counter() - t0))
         phi = config.phi if cov_kind == "rbf" else None
-        rows.extend(_width_row(f"{scenario}:{cov_kind}", method, widths[method],
-                               covered[method], ms, param_theta=theta, param_C=C,
-                               param_m=m, param_phi=phi)
-                    for method in widths)
+        rows.extend(_cell_rows(f"{scenario}:{cov_kind}", widths, covered, t0,
+                               param_theta=theta, param_C=C, param_m=m, param_phi=phi))
     return rows
 
 
@@ -527,63 +528,55 @@ def run_filedrawer(config: ExperimentConfig):
 # Nonparametric winner (bounded samples)
 # ---------------------------------------------------------------------------
 
-def _np_theta_means(config, theta):
+def _np_draws(config, n, theta, gen):
+    """Per trial of one winner-np cell: (column means, pooled sd of a column
+    mean, winner's column, winner's true mean).  The column is a view, so
+    keeping it keeps the trial's whole n x m sample block alive."""
     mu = generate_mu(config.m, theta, 1.0)
-    mu01 = mu - mu.min()  # range exactly 1, in [0, 1]
-    return config.signal_frac * mu01
+    signal = config.signal_frac * (mu - mu.min())  # range signal_frac, in [0, 1]
+    noise_mean = config.beta_a / (config.beta_a + config.beta_b)
+    truth_all = signal + (1.0 - config.signal_frac) * noise_mean
+    for _ in range(config.trials):
+        xi = gen.beta(config.beta_a, config.beta_b, size=(n, config.m))
+        data = signal + (1.0 - config.signal_frac) * xi
+        means = data.mean(axis=0)
+        win = int(np.argmax(means))
+        sd_pool = float(np.mean(data.std(axis=0, ddof=1))) / math.sqrt(n)
+        yield means, sd_pool, data[:, win], truth_all[win]
+
+
+def _np_winner_cell(config, budget, n, theta, gen):
+    """Widths and coverage of one winner-np cell, keyed in CSV row order:
+    one library CI call per trial at the local, simultaneous and nominal
+    levels, and one conditional batch for the cell."""
+    ci = _CI_FNS[config.ci_kind]
+    margin = _np_margin(n, config.m, budget, config.bound_kind)
+    records = []
+    for means, sd_pool, col, truth in _np_draws(config, n, theta, gen):
+        k = plausible_winner_set(means, margin, budget.nu).size
+        lo, hi = ci(col, (budget.inference_level / k, budget.alpha / config.m,
+                          budget.alpha))
+        records.append((lo, hi, means, sd_pool, truth))
+    # lo and hi are (trials, 3 levels); means is (trials, m).
+    lo, hi, means, sds, truths = (np.array(v) for v in zip(*records))
+    width, hit = hi - lo, (lo <= truths[:, None]) & (truths[:, None] <= hi)
+    cond_w, cond_hit = _conditional_arm(means, sds, budget.alpha, truths)
+    return ({"local": width[:, 0], "simultaneous": width[:, 1],
+             "conditional": cond_w, "nominal": width[:, 2]},
+            {"local": hit[:, 0], "simultaneous": hit[:, 1],
+             "conditional": cond_hit, "nominal": hit[:, 2]})
 
 
 def run_winner_np(config: ExperimentConfig):
     budget = config.budget()
-    alpha, nu = budget.alpha, budget.nu
-    m = config.m
-    noise_mean = config.beta_a / (config.beta_a + config.beta_b)
     rows = []
-    stream = 3000
-    for n in config.n_grid:
-        n = int(n)
-        for theta in config.theta_grid:
-            t0 = time.perf_counter()
-            signal = _np_theta_means(config, float(theta))
-            truth_all = signal + (1.0 - config.signal_frac) * noise_mean
-            w_margin = _np_margin(n, m, budget, config.bound_kind)
-            widths = {k: [] for k in ("local", "simultaneous", "conditional", "nominal")}
-            covered = {k: [] for k in widths}
-            cond = []
-            gen = RngSpec(config.seed, stream).generator()
-            stream += 1
-            for _ in range(config.trials):
-                xi = gen.beta(config.beta_a, config.beta_b, size=(n, m))
-                data = signal[None, :] + (1.0 - config.signal_frac) * xi
-                means = data.mean(axis=0)
-                plausible = plausible_winner_set(means, w_margin, nu)
-                win = int(plausible.realized[0])
-                truth = truth_all[win]
-                col = data[:, win]
-                if config.ci_kind == "betting":
-                    # One capital profile serves all three levels.
-                    grid, peaks = betting_capital_peaks(col)
-                for method, level in (("local", budget.inference_level / plausible.size),
-                                      ("simultaneous", alpha / m),
-                                      ("nominal", alpha)):
-                    if config.ci_kind == "betting":
-                        lo, hi = betting_interval_from_peaks(grid, peaks, level,
-                                                             means[win])
-                    else:
-                        w = hoeffding_width(n, level)
-                        lo, hi = means[win] - w, means[win] + w
-                    widths[method].append(hi - lo)
-                    covered[method].append(lo <= truth <= hi)
-                sd_pool = float(np.mean(data.std(axis=0, ddof=1))) / math.sqrt(n)
-                cond.append((means, sd_pool, truth))
-            means, sds, truths = (np.array(v) for v in zip(*cond))
-            widths["conditional"], covered["conditional"] = _conditional_arm(
-                means, sds, alpha, truths)
-            ms = int(1000 * (time.perf_counter() - t0))
-            for method in widths:
-                rows.append(_width_row(f"winner-np:n={n}", method, widths[method],
-                                       covered[method], ms, param_theta=float(theta),
-                                       param_m=m))
+    cells = itertools.product(map(int, config.n_grid), map(float, config.theta_grid))
+    for stream, (n, theta) in enumerate(cells, start=3000):
+        t0 = time.perf_counter()
+        gen = RngSpec(config.seed, stream).generator()
+        widths, covered = _np_winner_cell(config, budget, n, theta, gen)
+        rows.extend(_cell_rows(f"winner-np:n={n}", widths, covered, t0,
+                               param_theta=theta, param_m=config.m))
     return rows
 
 
@@ -701,39 +694,31 @@ def run_erm(config: ExperimentConfig):
 
 def run_sphere(config: ExperimentConfig):
     budget = config.budget()
+    nominal = normal_quantile(1.0 - budget.alpha / 2.0)
     rows = []
-    stream = 6000
-    for d in config.d_grid:
+    # Cell k: outcomes on stream 6000 + 3k, the Scheffe table on the next,
+    # the per-trial intervals on the one after.
+    for stream, d in zip(itertools.count(6000, 3), config.d_grid):
         d = int(d)
         t0 = time.perf_counter()
         mu = np.zeros(d)
         mu[0] = config.mu_norm
-        gen = RngSpec(config.seed, stream).generator()
-        stream += 1
+        ys = mu + RngSpec(config.seed, stream).generator().standard_normal((config.trials, d))
         scheffe = cap_quantile(math.pi, d, budget.alpha,
-                               RngSpec(config.seed, stream), config.n_draws)
-        stream += 1
-        nominal = normal_quantile(1.0 - budget.alpha / 2.0)
-        widths = {"local": [], "simultaneous": [], "nominal": []}
-        covered = {"local": [], "simultaneous": [], "nominal": []}
-        for trial in range(config.trials):
-            y = mu + gen.standard_normal(d)
-            norm_y = float(np.linalg.norm(y))
-            truth = float((y / norm_y) @ mu)
-            prob = SphereProblem(y, budget)
-            lo, hi = sphere_interval(prob, RngSpec(config.seed, stream, (trial,)),
-                                     config.n_draws)
-            widths["local"].append(hi - lo)
-            covered["local"].append(lo <= truth <= hi)
-            widths["simultaneous"].append(2.0 * scheffe)
-            covered["simultaneous"].append(abs(norm_y - truth) <= scheffe)
-            widths["nominal"].append(2.0 * nominal)
-            covered["nominal"].append(abs(norm_y - truth) <= nominal)
-        ms = int(1000 * (time.perf_counter() - t0))
-        for method in widths:
-            rows.append(_width_row("sphere", method, widths[method],
-                                   covered[method], ms, param_m=d))
-        stream += 1
+                               RngSpec(config.seed, stream + 1), config.n_draws)
+        lo, hi = np.array([sphere_interval(SphereProblem(y, budget),
+                                           RngSpec(config.seed, stream + 2, (trial,)),
+                                           config.n_draws)
+                           for trial, y in enumerate(ys)]).T
+        # Row by row: a norm along axis 1 sums in another order.
+        norms = np.array([np.linalg.norm(y) for y in ys])
+        truth = np.array([(y / norm) @ mu for y, norm in zip(ys, norms)])
+        widths = {"local": hi - lo, "simultaneous": np.full(len(ys), 2.0 * scheffe),
+                  "nominal": np.full(len(ys), 2.0 * nominal)}
+        covered = {"local": (lo <= truth) & (truth <= hi),
+                   "simultaneous": np.abs(norms - truth) <= scheffe,
+                   "nominal": np.abs(norms - truth) <= nominal}
+        rows.extend(_cell_rows("sphere", widths, covered, t0, param_m=d))
     return rows
 
 

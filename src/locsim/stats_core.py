@@ -357,7 +357,7 @@ def betting_interval_from_peaks(grid, peaks, alpha: float, fallback: float):
     return (lo, hi)
 
 
-def betting_ci(samples, alpha: float):
+def betting_ci(samples, alpha):
     """Betting confidence interval for the mean of [0,1]-bounded samples.
 
     Hedged capital process with truncated predictable-mixture bets,
@@ -365,7 +365,16 @@ def betting_ci(samples, alpha: float):
     while the running capital stays below 1/alpha; the interval is the
     convex hull of the survivors, clipped to [0,1].  The bets do not depend
     on alpha, so intervals are nested in alpha.
+
+    ``alpha`` is one level, giving (lower, upper) as floats, or a sequence
+    of levels, giving two arrays with one entry per level.  One capital
+    profile serves every level, and each entry equals the single-level call.
     """
     x = np.asarray(samples, dtype=float).ravel()
     grid, peaks = betting_capital_peaks(x)
-    return betting_interval_from_peaks(grid, peaks, alpha, float(x.mean()))
+    center = float(x.mean())
+    if np.ndim(alpha) == 0:
+        return betting_interval_from_peaks(grid, peaks, alpha, center)
+    lo, hi = np.array([betting_interval_from_peaks(grid, peaks, a, center)
+                       for a in alpha]).T
+    return lo, hi

@@ -275,9 +275,12 @@ def _np_margin(n: int, m: int, budget: BudgetSplit, bound_kind: str) -> float:
     return width_fn(n, budget.nu / m)
 
 
-def _hoeffding_ci(x, alpha: float):
+def _hoeffding_ci(x, alpha):
+    """Hoeffding interval around the sample mean; like ``betting_ci``,
+    ``alpha`` is one level or a sequence of levels."""
     mean = float(x.mean())
-    w = hoeffding_width(x.size, alpha)
+    w = (hoeffding_width(x.size, alpha) if np.ndim(alpha) == 0
+         else np.array([hoeffding_width(x.size, a) for a in alpha]))
     return mean - w, mean + w
 
 

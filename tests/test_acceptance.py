@@ -14,8 +14,12 @@ import pytest
 from locsim.erm import LossMatrix, erm_risk_bound
 from locsim.experiments import (
     ExperimentConfig,
+    _cell_outcomes,
+    _conditional_arm,
+    _np_draws,
+    _np_winner_cell,
+    _winner_trials,
     generate_mu,
-    generate_mu_reference_scaled,
     run_experiment,
 )
 from locsim.lasso import (
@@ -30,9 +34,6 @@ from locsim.sphere import SphereProblem, cap_angle, sphere_interval
 from locsim.stats_core import (
     GaussianNoise,
     RngSpec,
-    bentkus_width,
-    betting_capital_peaks,
-    betting_interval_from_peaks,
     max_abs_quantile_iid,
     max_stat_quantile_mc,
     normal_quantile,
@@ -133,20 +134,14 @@ def test_c03_width_qualitative_claims(winner_grid_rows):
                 decreasing.append(w30 <= w10)
     ok_a = all(decreasing)
 
-    # (b) local width insensitive to appending far-below candidates (iid
-    # closed forms at m = 1e3 vs 1e4).
-    theta, C, trials = 4.0, 10.0, 100
+    # (b) local width insensitive to appending far-below candidates: the
+    # winner runner's iid cell (closed forms) at m = 1e3 vs 1e4.
+    cfg = ExperimentConfig(kind="winner", seed=301, trials=100)
     medians = {}
     for m in (1000, 10_000):
-        mu = generate_mu_reference_scaled(m, theta, C)
-        margin = 4.0 * max_abs_quantile_iid(m, BUDGET.nu)
-        gen = RngSpec(301, m).generator()
-        widths = []
-        for _ in range(trials):
-            y = mu + gen.standard_normal(m)
-            k = int(np.sum(y >= y.max() - margin))
-            widths.append(2 * max_abs_quantile_iid(k, BUDGET.inference_level))
-        medians[m] = float(np.median(widths))
+        mu, ys, q = _cell_outcomes(cfg, 4.0, 10.0, m, "iid", stream=m)
+        widths, _ = _winner_trials(cfg, BUDGET, mu, ys, q, "iid")
+        medians[m] = float(np.median(widths["local"]))
     rel_change = abs(medians[10_000] - medians[1000]) / medians[1000]
     ok_b = rel_change < 0.02
 
@@ -172,7 +167,8 @@ def test_c03_width_qualitative_claims(winner_grid_rows):
 # Criterion 4: nonparametric winner with bounded samples
 # ---------------------------------------------------------------------------
 
-# Beta(2, 5) noise: mean 2/7, variance a*b / ((a+b)^2 (a+b+1)) = 10/392.
+# Beta(2, 5) noise, the runner's default: mean 2/7, variance
+# a*b / ((a+b)^2 (a+b+1)) = 10/392.  Only the Gaussian control uses them.
 BETA_MEAN, BETA_VAR = 2.0 / 7.0, 10.0 / 392.0
 
 # Trials for the conditional sub-check.  The heuristic arm measures 0.8938
@@ -182,69 +178,29 @@ BETA_MEAN, BETA_VAR = 2.0 / 7.0, 10.0 / 392.0
 COND_TRIALS = 90_000
 
 
-def _np_signal(theta, m, signal_frac):
-    """Column signals and true column means of the bounded-sample model."""
-    mu = generate_mu(m, theta, 1.0)
-    signal = signal_frac * (mu - mu.min())
-    return signal, signal + (1 - signal_frac) * BETA_MEAN
+def _np_cell(theta, n, trials, seed):
+    """One cell of the shipped winner-np runner (m = 50, betting CI, Bentkus
+    margin); returns its per-method widths and coverage arrays."""
+    cfg = ExperimentConfig(kind="winner-np", trials=trials)
+    return _np_winner_cell(cfg, BUDGET, n, theta, np.random.default_rng(seed))
 
 
-def _np_trials(theta, n, trials, seed, m=50, signal_frac=0.9):
-    """Yield (data, means, winner, winner's truth) for each simulated trial."""
-    signal, truth_all = _np_signal(theta, m, signal_frac)
-    gen = np.random.default_rng(seed)
-    for _ in range(trials):
-        xi = gen.beta(2.0, 5.0, size=(n, m))
-        data = signal[None, :] + (1 - signal_frac) * xi
-        means = data.mean(axis=0)
-        win = int(np.argmax(means))
-        yield data, means, win, truth_all[win]
-
-
-def _cond_record(data, means, truth):
-    """(means, pooled sd of a column mean, truth): the heuristic arm's inputs."""
-    sd = float(np.mean(data.std(axis=0, ddof=1))) / math.sqrt(data.shape[0])
-    return means, sd, truth
-
-
-def _cond_heuristic_hits_of(records):
-    """Normal-approximation conditional arm, one call for a batch of trials:
-    the pooled sd is plugged in for sigma."""
+def _cond_heuristic_hits(theta, n, trials, seed):
+    """The runner's conditional arm alone, on the same stream as `_np_cell`.
+    Only each trial's means, sd and truth are kept: the winner's column pins
+    its trial's whole sample block."""
+    cfg = ExperimentConfig(kind="winner-np", trials=trials)
+    records = [(means, sd, truth) for means, sd, _, truth
+               in _np_draws(cfg, n, theta, np.random.default_rng(seed))]
     means, sds, truths = (np.array(v) for v in zip(*records))
-    lo, hi = conditional_winner_interval(means, sds, BUDGET.alpha)
-    return (lo <= truths) & (truths <= hi)
-
-
-def _np_cell(theta, n, trials, seed, m=50):
-    """One nonparametric grid cell; returns per-trial records."""
-    alpha, nu = BUDGET.alpha, BUDGET.nu
-    w = bentkus_width(n, nu / m)
-    rec = {"local_w": [], "sim_w": [], "local_hit": [], "sim_hit": []}
-    cond = []
-    for data, means, win, truth in _np_trials(theta, n, trials, seed, m):
-        k = int(np.sum(means >= means[win] - 4.0 * w))
-        grid, peaks = betting_capital_peaks(data[:, win])
-        lo, hi = betting_interval_from_peaks(grid, peaks, (alpha - nu) / k, means[win])
-        rec["local_w"].append(hi - lo)
-        rec["local_hit"].append(lo <= truth <= hi)
-        lo, hi = betting_interval_from_peaks(grid, peaks, alpha / m, means[win])
-        rec["sim_w"].append(hi - lo)
-        rec["sim_hit"].append(lo <= truth <= hi)
-        cond.append(_cond_record(data, means, truth))
-    rec["cond_hit"] = _cond_heuristic_hits_of(cond)
-    return {k: np.asarray(v) for k, v in rec.items()}
-
-
-def _cond_heuristic_hits(theta, n, trials, seed, m=50):
-    """The conditional arm of `_np_cell` alone, on the same stream."""
-    return _cond_heuristic_hits_of([_cond_record(data, means, truth) for data, means, _,
-                                    truth in _np_trials(theta, n, trials, seed, m)])
+    return _conditional_arm(means, sds, BUDGET.alpha, truths)[1]
 
 
 def _cond_gaussian_hits(theta, n, trials, seed, m=50, signal_frac=0.9):
     """Gaussian control: column means drawn exactly N(truth, sd^2) with the
     true sd of a bounded-sample column mean, and that sd passed as sigma."""
-    _, truth_all = _np_signal(theta, m, signal_frac)
+    mu = generate_mu(m, theta, 1.0)
+    truth_all = signal_frac * (mu - mu.min()) + (1 - signal_frac) * BETA_MEAN
     sd = (1 - signal_frac) * math.sqrt(BETA_VAR / n)
     gen = np.random.default_rng(seed)
     means = truth_all + sd * gen.standard_normal((trials, m))
@@ -256,19 +212,21 @@ def _cond_gaussian_hits(theta, n, trials, seed, m=50, signal_frac=0.9):
 @pytest.mark.slow
 def test_c04_nonparametric_winner():
     trials = 2000
-    cells = {}
+    widths, covered = {}, {}
     for n in (100, 1000):
         for theta in (0.5, 4.0):
-            cells[(n, theta)] = _np_cell(theta, n, trials, seed=40_000 + n)
+            widths[n, theta], covered[n, theta] = _np_cell(theta, n, trials,
+                                                           seed=40_000 + n)
 
-    cov_ok = all(cells[c]["local_hit"].mean() >= 0.88
-                 and cells[c]["sim_hit"].mean() >= 0.88 for c in cells)
+    cov = [covered[c][method].mean() for c in covered
+           for method in ("local", "simultaneous")]
+    cov_ok = min(cov) >= 0.88
 
     # Width comparison in the sharp-winner regime (theta = 0.5): the local
     # level exceeds the Bonferroni level whenever the plausible set stays
     # below m * (alpha - nu) / alpha, so nestedness forces local <= simultaneous.
     frac_le = np.mean([
-        np.mean(cells[(n, 0.5)]["local_w"] <= cells[(n, 0.5)]["sim_w"] + 1e-12)
+        np.mean(widths[n, 0.5]["local"] <= widths[n, 0.5]["simultaneous"] + 1e-12)
         for n in (100, 1000)])
     width_ok = frac_le >= 0.99
 
@@ -280,11 +238,10 @@ def test_c04_nonparametric_winner():
     heur = _cond_heuristic_hits(theta, n, COND_TRIALS, seed=40_000 + n)
     ctrl = _cond_gaussian_hits(theta, n, COND_TRIALS, seed=40_000 + n + 1)
     floor = 0.9 - 3 * binomial_se(0.9, COND_TRIALS)
-    prefix_ok = np.array_equal(heur[:trials], cells[(n, theta)]["cond_hit"])
+    prefix_ok = np.array_equal(heur[:trials], covered[n, theta]["conditional"])
     cond_ok = prefix_ok and heur.mean() < floor <= ctrl.mean()
 
-    detail = (f"min local/sim coverage "
-              f"{min(min(cells[c]['local_hit'].mean(), cells[c]['sim_hit'].mean()) for c in cells):.4f}, "
+    detail = (f"min local/sim coverage {min(cov):.4f}, "
               f"local<=sim on {100 * frac_le:.1f}% of theta=0.5 trials, "
               f"conditional at theta=4, n=100 over {COND_TRIALS} trials: "
               f"heuristic {heur.mean():.4f} < {floor:.4f} <= Gaussian control "

@@ -269,8 +269,12 @@ class TestRunners:
             run_experiment(ExperimentConfig(kind="filedrawer-np"))
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def _cli(*args, env_extra=None):
-    env = dict(os.environ)
+    # The child imports locsim from this checkout, installed or not.
+    env = dict(os.environ, PYTHONPATH=SRC)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "locsim.cli", *args],

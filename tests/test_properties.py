@@ -92,6 +92,9 @@ def test_betting_ci_nested_in_alpha(seed):
     inner = betting_ci(x, 0.2)
     outer = betting_ci(x, 0.05)
     assert outer[0] <= inner[0] and inner[1] <= outer[1]
+    # A level sequence is one call for both levels, entry for entry the same.
+    lo, hi = betting_ci(x, (0.2, 0.05))
+    assert lo.tolist() == [inner[0], outer[0]] and hi.tolist() == [inner[1], outer[1]]
 
 
 def test_lasso_kkt_on_random_instances():

@@ -20,7 +20,7 @@ from locsim.winner import (
     two_candidate_interval,
     winner_interval,
 )
-from locsim.winner import _np_margin
+from locsim.winner import _hoeffding_ci, _np_margin
 from locsim.experiments import rbf_covariance
 
 from oracles import binomial_se, conditional_winner_interval_scalar
@@ -156,6 +156,12 @@ class TestNpWinnerInterval:
     def test_bad_entries_rejected(self):
         with pytest.raises(ValueError):
             SampleMatrix(np.array([[0.5, 1.4], [0.2, 0.3]]))
+
+    def test_hoeffding_ci_level_sequence(self):
+        x = np.random.default_rng(6).beta(2, 5, size=60)
+        inner, outer = _hoeffding_ci(x, 0.2), _hoeffding_ci(x, 0.05)
+        lo, hi = _hoeffding_ci(x, (0.2, 0.05))
+        assert lo.tolist() == [inner[0], outer[0]] and hi.tolist() == [inner[1], outer[1]]
 
 
 class TestNpFiledrawerRegion:
