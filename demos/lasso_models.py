@@ -36,8 +36,7 @@ beta_hat, pair = lasso_solve(design, y, lam)
 print(f"lambda = {lam:.2f}; selected support {pair.M} with signs {pair.s}")
 
 s_nu = 2 * column_max_quantile(design, 1.0, budget.nu, RngSpec(32), 50_000)
-models, frontier = enumerate_plausible_models(
-    design, y, lam, budget, 1.0, RngSpec(33), 50_000, s_nu=s_nu)
+models, frontier = enumerate_plausible_models(design, y, lam, s_nu)
 print(f"box radius s_nu = {s_nu:.3f}; visited {len(frontier.visited)} "
       f"model-sign regions with {frontier.lp_count} LPs "
       f"({frontier.safe_skips} checks safely skipped)")

@@ -38,7 +38,6 @@ from .lp import Polyhedron, LpResult, LpError, lp_maximize, constraint_nonredund
 from .lasso import (
     Design,
     ModelSignPair,
-    SuffStatBox,
     ModelFrontier,
     DegeneracyError,
     SolverError,

@@ -348,7 +348,8 @@ def rbf_covariance(m: int, phi: float) -> np.ndarray:
     idx = np.arange(m, dtype=float)
     diff = idx[:, None] - idx[None, :]
     # np.square: a huge phi gives inf (all-ones covariance), not OverflowError.
-    return np.exp(-(diff**2) / (2.0 * np.square(phi)))
+    with np.errstate(over="ignore"):
+        return np.exp(-(diff**2) / (2.0 * np.square(phi)))
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +637,8 @@ def run_lasso(config: ExperimentConfig):
     widths, covered, capped_count = [], [], 0
     for trial in range(config.trials):
         y = mu + config.sigma * gen.standard_normal(config.n)
-        models, frontier = enumerate_plausible_models(
-            design, y, lam, budget, config.sigma, RngSpec(config.seed, 4002, (trial,)),
-            config.n_draws, p_max=config.p_max, s_nu=s_nu)
+        models, frontier = enumerate_plausible_models(design, y, lam, s_nu,
+                                                      p_max=config.p_max)
         capped_count += frontier.capped
         _, pair = lasso_solve(design, y, lam)
         if not pair.M:

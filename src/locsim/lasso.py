@@ -8,9 +8,10 @@ the models discovered in the box.
 
 Selection via the LASSO depends on y only through u = X^T y, so each pair
 has one selection event, built in u-coordinates (dimension d instead of n).
-The safe rules, the screening LPs, the debug certificate and the quantile
-simulations all work there; the public outcome-space polyhedron is that
-event composed with X^T.
+The safe rules (each event row's maximum over the box), the screening LPs
+and the debug certificate all read that event, and the quantile
+simulations work in the same coordinates; the public outcome-space
+polyhedron is the event composed with X^T.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .winner import IntervalSet
 __all__ = [
     "Design",
     "ModelSignPair",
-    "SuffStatBox",
     "ModelFrontier",
     "DegeneracyError",
     "SolverError",
@@ -47,7 +47,6 @@ _RANK_TOL = 1e-8
 _CD_TOL = 1e-10
 _CD_MAX_SWEEPS = 100_000
 _KKT_REL_TOL = 1e-6
-_LP_EPS = 1e-9
 
 
 class DegeneracyError(ValueError):
@@ -90,35 +89,14 @@ class ModelSignPair:
 
 
 @dataclass(frozen=True)
-class SuffStatBox:
-    """Sufficient-statistic neighborhood {y' : ||X^T y - X^T y'||_inf <= radius}."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        center = np.asarray(self.center, dtype=float).ravel()
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
-        object.__setattr__(self, "center", center)
-
-    def polyhedron(self) -> Polyhedron:
-        return Polyhedron.box(self.center, self.radius)
-
-
-@dataclass(frozen=True)
 class ModelFrontier:
-    """State of the flood fill: visited pairs, pending queue, cap flag."""
+    """Outcome of the flood fill: visited pairs, cap flag, LPs run and
+    checks the safe rules skipped."""
 
     visited: frozenset
-    queue: tuple
     capped: bool
     lp_count: int = 0
     safe_skips: int = 0
-
-    def __post_init__(self):
-        if set(self.queue) & set(self.visited):
-            raise ValueError("visited and queued pairs must be disjoint")
 
 
 class Design:
@@ -279,29 +257,29 @@ def selection_polyhedron(design: Design, pair: ModelSignPair, lam: float) -> Pol
 # Screening rules
 # ---------------------------------------------------------------------------
 
+def _box(design: Design, y, s_nu: float) -> Polyhedron:
+    """The sufficient-statistic box {u : ||u - X^T y||_inf <= s_nu}."""
+    if s_nu < 0:
+        raise ValueError("s_nu must be nonnegative")
+    return Polyhedron.box(design.X.T @ np.asarray(y, dtype=float), s_nu)
+
+
 def safe_screening(design: Design, y, pair: ModelSignPair, lam: float, s_nu: float):
-    """Closed-form sufficient screening over the sufficient-statistic box.
+    """Sufficient screening of the pair's selection event over the box.
 
     Returns (safe_in, safe_out): active variables that cannot exit the model
     in any neighboring region within the box, and inactive variables that
-    cannot enter.  Computed in u = X^T y from the pair's local solution
-    beta = (X_M^T X_M)^{-1} (u_M - lam s) and the inactive correlations
-    u_Mc - X_Mc^T X_M beta.
+    cannot enter.  A row a^T u <= b of the event is reached within the box
+    when its maximum there, a^T X^T y + s_nu ||a||_1, is at least b; a
+    variable is safe when none of its faces is reached.
     """
     if s_nu < 0:
         raise ValueError("s_nu must be nonnegative")
-    M = list(pair.M)
-    Mc = [j for j in range(design.d) if j not in pair.M]
     u = design.X.T @ np.asarray(y, dtype=float)
-    inv = design.gram_inverse(pair.M)
-    g_cross = design.XtX[np.ix_(Mc, M)]
-    beta_loc = inv @ (u[M] - lam * np.asarray(pair.s, dtype=float))
-    corr = u[Mc] - g_cross @ beta_loc
-    inv_l1 = np.abs(inv).sum(axis=1)
-    cross_l1 = np.abs(g_cross @ inv).sum(axis=1)  # rows of X_Mc^T X_M (X_M^T X_M)^{-1}
-    safe_in = {M[k] for k in np.flatnonzero(np.abs(beta_loc) > s_nu * inv_l1)}
-    safe_out = {Mc[k] for k in np.flatnonzero(np.abs(corr) < lam - s_nu * (1.0 + cross_l1))}
-    return safe_in, safe_out
+    event, faces = _selection_event(design, pair, lam)
+    reached = event.A @ u + s_nu * np.abs(event.A).sum(axis=1) >= event.b
+    flips = {face[1] for face, hit in zip(faces, reached) if hit}
+    return set(pair.M) - flips, set(range(design.d)) - set(pair.M) - flips
 
 
 def _neighbors(design: Design, pair: ModelSignPair, lam: float, box: Polyhedron, safe,
@@ -320,22 +298,20 @@ def _neighbors(design: Design, pair: ModelSignPair, lam: float, box: Polyhedron,
         if across in seen:
             continue
         n_lps += 1
-        if constraint_nonredundant(event, i, box, eps=_LP_EPS).nonredundant:
+        if constraint_nonredundant(event, i, box).nonredundant:
             neighbors.add(across)
     return neighbors, n_lps
 
 
-def exact_screening(design: Design, y, pair: ModelSignPair, lam: float,
-                    s_nu: float, safe=None):
+def exact_screening(design: Design, y, pair: ModelSignPair, lam: float, s_nu: float):
     """Neighboring model-sign pairs reachable inside the box.
 
-    Each unscreened constraint of the selection event is tested for
-    redundancy within the event (that constraint removed) intersected with
-    the box, one LP per test; an active constraint names the pair on the
-    other side of its face.
+    Each constraint of the selection event is tested for redundancy within
+    the event (that constraint removed) intersected with the box, one LP
+    per test; an active constraint names the pair on the other side of its
+    face.
     """
-    box = SuffStatBox(design.X.T @ np.asarray(y, dtype=float), s_nu).polyhedron()
-    return _neighbors(design, pair, lam, box, safe if safe is not None else (set(), set()))[0]
+    return _neighbors(design, pair, lam, _box(design, y, s_nu), (set(), set()))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +335,11 @@ def _all_models(d: int):
         combinations(range(d), r) for r in range(d + 1)))
 
 
-def enumerate_plausible_models(design: Design, y, lam: float, budget: BudgetSplit,
-                               sigma: float, rng: RngSpec,
-                               n_draws: int = DEFAULT_DRAWS,
+def enumerate_plausible_models(design: Design, y, lam: float, s_nu: float,
                                p_max: int = 2000, use_safe: bool = True,
-                               s_nu: float = None, certify: bool = False):
-    """Breadth-first flood fill of model-sign regions over the box.
+                               certify: bool = False):
+    """Breadth-first flood fill of model-sign regions over the box
+    {u : ||u - X^T y||_inf <= s_nu}.
 
     Returns (models, frontier).  models is the set of supports visited; if
     the number of visited plus queued pairs exceeds p_max the search stops,
@@ -372,13 +347,12 @@ def enumerate_plausible_models(design: Design, y, lam: float, budget: BudgetSpli
     returned so the caller falls back to the full simultaneous correction
     at level alpha - nu.
 
-    s_nu may be passed explicitly (precomputed box radius); otherwise it is
-    2 * column_max_quantile at level nu.  With certify=True (debug mode)
-    every popped pair's region is checked to intersect the box by a
-    feasibility LP.
+    s_nu is the box radius, usually 2 * column_max_quantile at level nu.
+    With use_safe=True each pair's safe_screening sets skip the LPs of the
+    faces they rule out.  With certify=True (debug mode) every popped
+    pair's region is checked to intersect the box by a feasibility LP.
     """
-    if s_nu is None:
-        s_nu = 2.0 * column_max_quantile(design, sigma, budget.nu, rng.child(0), n_draws)
+    box = _box(design, y, s_nu)
     _, start = lasso_solve(design, y, lam)
     todo = deque([start])
     seen = {start}
@@ -386,7 +360,6 @@ def enumerate_plausible_models(design: Design, y, lam: float, budget: BudgetSpli
     lp_count = 0
     safe_skips = 0
     capped = False
-    box = SuffStatBox(design.X.T @ np.asarray(y, dtype=float), s_nu).polyhedron()
     while todo:
         pair = todo.popleft()
         visited.append(pair)
@@ -404,8 +377,7 @@ def enumerate_plausible_models(design: Design, y, lam: float, budget: BudgetSpli
         if len(seen) > p_max:
             capped = True
             break
-    frontier = ModelFrontier(frozenset(visited), tuple(todo), capped,
-                             lp_count, safe_skips)
+    frontier = ModelFrontier(frozenset(visited), capped, lp_count, safe_skips)
     if capped:
         if design.d > 16:
             raise ValueError("p_max exceeded with d too large to fall back on all subsets")

@@ -223,12 +223,11 @@ def lp_maximize(c, region: Polyhedron) -> LpResult:
     return LpResult("optimal", value, witness)
 
 
-def constraint_nonredundant(region: Polyhedron, i: int, box: Polyhedron,
-                            eps: float = _TOL) -> RedundancyResult:
+def constraint_nonredundant(region: Polyhedron, i: int, box: Polyhedron) -> RedundancyResult:
     """Is row i of the region active within the box?
 
     True iff the maximum of a_i^T z over (region with row i removed)
-    intersected with the box exceeds b_i + eps; an unbounded maximum counts
+    intersected with the box exceeds b_i + 1e-9; an unbounded maximum counts
     as exceeding.  If the intersection is infeasible the row is reported
     redundant with the diagnostic flag cleared.
     """
@@ -240,4 +239,4 @@ def constraint_nonredundant(region: Polyhedron, i: int, box: Polyhedron,
         return RedundancyResult(False, intersection_feasible=False)
     if res.status == "unbounded":
         return RedundancyResult(True)
-    return RedundancyResult(bool(res.value > region.b[i] + eps))
+    return RedundancyResult(bool(res.value > region.b[i] + _TOL))

@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: the normal quantile
 oracle integrates the density and bisects, the LP oracle enumerates
 vertices, the LASSO grid oracle re-solves the program by proximal gradient
-over a sweep of the sufficient-statistic box.  The conditional-interval
+over a sweep of the sufficient-statistic box, and the closed-form safe
+rules compute the pair's local solution and correlations directly instead
+of reading the selection event.  The conditional-interval
 oracle is the one-outcome-at-a-time bisection that the batched
 ``conditional_winner_interval`` replaced; the batch must match it bit for
 bit.
@@ -113,6 +115,29 @@ def grid_lasso_models(design, y, lam, s_nu, steps=200, extra_random=0, seed=0):
         rand = u0[:, None] + gen.uniform(-s_nu, s_nu, size=(u0.size, extra_random))
         pts = np.hstack([pts, rand])
     return lasso_supports_ista(G, pts, lam)
+
+
+def safe_screening_closed_form(design, y, pair, lam, s_nu):
+    """(safe_in, safe_out) from the pair's local solution at u = X^T y.
+
+    beta = (X_M^T X_M)^{-1} (u_M - lam s) and the inactive correlations
+    u_Mc - X_Mc^T X_M beta move by at most s_nu times the l1 norms of the
+    corresponding rows within the box: an active variable is safe when
+    |beta_j| stays above that, an inactive one when |corr_j| stays below
+    lam by more than that.
+    """
+    M = list(pair.M)
+    Mc = [j for j in range(design.d) if j not in pair.M]
+    u = design.X.T @ np.asarray(y, dtype=float)
+    inv = design.gram_inverse(pair.M)
+    g_cross = design.XtX[np.ix_(Mc, M)]
+    beta_loc = inv @ (u[M] - lam * np.asarray(pair.s, dtype=float))
+    corr = u[Mc] - g_cross @ beta_loc
+    inv_l1 = np.abs(inv).sum(axis=1)
+    cross_l1 = np.abs(g_cross @ inv).sum(axis=1)
+    safe_in = {M[k] for k in np.flatnonzero(np.abs(beta_loc) > s_nu * inv_l1)}
+    safe_out = {Mc[k] for k in np.flatnonzero(np.abs(corr) < lam - s_nu * (1.0 + cross_l1))}
+    return safe_in, safe_out
 
 
 def exact_rademacher_mean_abs(n: int) -> float:

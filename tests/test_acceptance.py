@@ -268,12 +268,9 @@ def lasso_oracle_instances():
         lam = 2.0
         s_nu = 2.0 * column_max_quantile(design, 1.0, BUDGET.nu,
                                          RngSpec(51_000 + idx), 20_000)
-        kwargs = dict(budget=BUDGET, sigma=1.0, rng=RngSpec(0), n_draws=2000,
-                      s_nu=s_nu)
-        with_safe, fr_safe = enumerate_plausible_models(design, y, lam,
-                                                        use_safe=True, **kwargs)
-        no_safe, fr_plain = enumerate_plausible_models(design, y, lam,
-                                                       use_safe=False, **kwargs)
+        with_safe, fr_safe = enumerate_plausible_models(design, y, lam, s_nu)
+        no_safe, fr_plain = enumerate_plausible_models(design, y, lam, s_nu,
+                                                       use_safe=False)
         if d == 2:
             oracle = grid_lasso_models(design, y, lam, s_nu, steps=401)
         else:
@@ -336,9 +333,7 @@ def test_c07_posi_coverage_and_pmax_fallback():
     trials, hits, capped = 50, 0, 0
     for t in range(trials):
         y = mu + gen.standard_normal(n)
-        models, frontier = enumerate_plausible_models(
-            design, y, lam, BUDGET, 1.0, RngSpec(704, t), 20_000,
-            p_max=150, s_nu=s_nu)
+        models, frontier = enumerate_plausible_models(design, y, lam, s_nu, p_max=150)
         capped += frontier.capped
         _, pair = lasso_solve(design, y, lam)
         if not pair.M:

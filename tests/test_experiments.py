@@ -69,6 +69,12 @@ class TestGenerateMu:
         assert small.max() - small.min() == pytest.approx(10.0)
         assert big.max() - big.min() > 10.0
 
+    def test_rbf_huge_length_scale_is_all_ones_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cov = rbf_covariance(5, 1e300)
+        assert np.array_equal(cov, np.ones((5, 5)))
+
     def test_rbf_unit_diagonal(self):
         cov = rbf_covariance(30, 5.0)
         assert np.allclose(np.diag(cov), 1.0)

@@ -19,7 +19,7 @@ from locsim.lasso import (
 from locsim.stats_core import RngSpec, max_abs_quantile_iid, normal_quantile
 from locsim.theory_core import BudgetSplit
 
-from oracles import grid_lasso_models, lasso_supports_ista
+from oracles import grid_lasso_models, lasso_supports_ista, safe_screening_closed_form
 
 BUDGET = BudgetSplit(0.1, 0.01)
 
@@ -163,12 +163,24 @@ class TestSafeScreening:
             _, pair = lasso_solve(design, y, lam)
             s_nu = 0.8
             safe_in, safe_out = safe_screening(design, y, pair, lam, s_nu)
-            neighbors = exact_screening(design, y, pair, lam, s_nu, safe=None)
+            neighbors = exact_screening(design, y, pair, lam, s_nu)
             for nb in neighbors:
                 for j in safe_in:
                     assert j in nb.M
                 for j in safe_out:
                     assert j not in nb.M
+
+    def test_matches_closed_form_on_visited_pairs(self):
+        # The event-row rule equals the closed form on every pair whose
+        # region meets the box, so on every pair a fill visits, capped or not.
+        for d in range(2, 9):
+            for seed in range(2):
+                design, y = random_instance(700 + 10 * d + seed, n=40, d=d)
+                for s_nu in (0.3, 1.0):
+                    _, frontier = enumerate_plausible_models(design, y, 1.0, s_nu, p_max=40)
+                    for pair in frontier.visited:
+                        assert (safe_screening(design, y, pair, 1.0, s_nu)
+                                == safe_screening_closed_form(design, y, pair, 1.0, s_nu))
 
 
 class TestExactScreening:
@@ -190,8 +202,7 @@ class TestExactScreening:
         for seed in (101, 102, 103):
             design, y = random_instance(seed, n=30, d=2)
             lam, s_nu = 1.0, 0.8
-            models, frontier = enumerate_plausible_models(
-                design, y, lam, BUDGET, 1.0, RngSpec(0), 2000, s_nu=s_nu)
+            models, frontier = enumerate_plausible_models(design, y, lam, s_nu)
             oracle_pairs = grid_lasso_pairs(design, y, lam, s_nu, steps=400)
             assert oracle_pairs <= set(frontier.visited)
             assert set(frontier.visited) == oracle_pairs
@@ -201,8 +212,7 @@ class TestEnumeratePlausibleModels:
     def test_zero_radius_returns_selected_model_only(self):
         design, y = random_instance(31, d=4)
         _, pair = lasso_solve(design, y, 0.5)
-        models, frontier = enumerate_plausible_models(
-            design, y, 0.5, BUDGET, 1.0, RngSpec(1), 2000, s_nu=0.0)
+        models, frontier = enumerate_plausible_models(design, y, 0.5, 0.0)
         assert models == {pair.M}
         assert not frontier.capped
 
@@ -210,16 +220,14 @@ class TestEnumeratePlausibleModels:
         X = np.eye(2)[:, :1]
         design = Design(X)
         y = X @ np.array([1.2])
-        models, _ = enumerate_plausible_models(
-            design, y, 1.0, BUDGET, 1.0, RngSpec(1), 2000, s_nu=0.5)
+        models, _ = enumerate_plausible_models(design, y, 1.0, 0.5)
         assert models == {(0,), ()}
 
     def test_monotone_in_radius(self):
         design, y = random_instance(32, d=3)
         prev = None
         for s_nu in (0.0, 0.3, 0.8, 1.5):
-            models, _ = enumerate_plausible_models(
-                design, y, 0.8, BUDGET, 1.0, RngSpec(1), 2000, s_nu=s_nu)
+            models, _ = enumerate_plausible_models(design, y, 0.8, s_nu)
             if prev is not None:
                 assert prev <= models
             prev = models
@@ -227,30 +235,45 @@ class TestEnumeratePlausibleModels:
     def test_safe_rules_do_not_change_output(self):
         for seed in range(6):
             design, y = random_instance(seed + 200, d=3)
-            kwargs = dict(budget=BUDGET, sigma=1.0, rng=RngSpec(1),
-                          n_draws=2000, s_nu=0.7)
-            with_safe, fr1 = enumerate_plausible_models(design, y, 0.8,
-                                                        use_safe=True, **kwargs)
-            without, fr2 = enumerate_plausible_models(design, y, 0.8,
-                                                      use_safe=False, **kwargs)
+            with_safe, fr1 = enumerate_plausible_models(design, y, 0.8, 0.7)
+            without, fr2 = enumerate_plausible_models(design, y, 0.8, 0.7,
+                                                      use_safe=False)
             assert with_safe == without
             assert fr1.lp_count <= fr2.lp_count
+
+    def test_safe_rules_cut_lps_at_d8(self):
+        # The lasso runner's instance (n = 200, lambda0 = 6, sparsity 0.5):
+        # the safe rules keep the model set and strictly cut the LPs.
+        d, n = 8, 200
+        lam = 6.0 * math.sqrt(2.0 * math.log(math.e * d))
+        for seed in range(3):
+            gen = np.random.default_rng(800 + seed)
+            X = gen.standard_normal((n, d))
+            X /= np.linalg.norm(X, axis=0)
+            design = Design(X)
+            beta = np.zeros(d)
+            beta[:2], beta[2:4] = 2.0 * lam, lam
+            y = X @ beta + gen.standard_normal(n)
+            s_nu = 2.0 * column_max_quantile(design, 1.0, BUDGET.nu, RngSpec(810 + seed), 20_000)
+            with_safe, fr1 = enumerate_plausible_models(design, y, lam, s_nu)
+            without, fr2 = enumerate_plausible_models(design, y, lam, s_nu, use_safe=False)
+            assert not fr1.capped
+            assert with_safe == without
+            assert fr1.lp_count < fr2.lp_count
 
     def test_found_pairs_are_not_tested_again(self):
         # Without the safe rules every face needs an LP, unless the pair
         # across it was already found: each adjacency between two visited
         # pairs is then tested from one side only.
         design, y = random_instance(201, d=3)
-        _, frontier = enumerate_plausible_models(
-            design, y, 0.8, BUDGET, 1.0, RngSpec(1), 2000, use_safe=False, s_nu=0.7)
+        _, frontier = enumerate_plausible_models(design, y, 0.8, 0.7, use_safe=False)
         faces = sum(2 * design.d - len(pair.M) for pair in frontier.visited)
         assert len(frontier.visited) >= 2
         assert frontier.lp_count < faces
 
     def test_pmax_cap_falls_back_to_all_models(self):
         design, y = random_instance(33, d=3)
-        models, frontier = enumerate_plausible_models(
-            design, y, 0.2, BUDGET, 1.0, RngSpec(1), 2000, p_max=1, s_nu=2.0)
+        models, frontier = enumerate_plausible_models(design, y, 0.2, 2.0, p_max=1)
         assert frontier.capped
         assert len(models) == 2**3
         assert () in models and (0, 1, 2) in models
@@ -259,11 +282,8 @@ class TestEnumeratePlausibleModels:
         # Every visited region must intersect the box; debug mode proves it
         # with a feasibility LP per pop and must not change the output.
         design, y = random_instance(34, d=3)
-        kwargs = dict(budget=BUDGET, sigma=1.0, rng=RngSpec(1), n_draws=2000,
-                      s_nu=0.9)
-        plain, _ = enumerate_plausible_models(design, y, 0.8, **kwargs)
-        certified, _ = enumerate_plausible_models(design, y, 0.8, certify=True,
-                                                  **kwargs)
+        plain, _ = enumerate_plausible_models(design, y, 0.8, 0.9)
+        certified, _ = enumerate_plausible_models(design, y, 0.8, 0.9, certify=True)
         assert plain == certified
 
     def test_oracle_containment_d2_d3(self):
@@ -272,8 +292,7 @@ class TestEnumeratePlausibleModels:
         for d, seed in cases:
             design, y = random_instance(seed, n=30, d=d)
             lam, s_nu = 1.0, 0.7
-            models, _ = enumerate_plausible_models(
-                design, y, lam, BUDGET, 1.0, RngSpec(2), 2000, s_nu=s_nu)
+            models, _ = enumerate_plausible_models(design, y, lam, s_nu)
             steps = 120 if d == 2 else 40
             oracle = grid_lasso_models(design, y, lam, s_nu, steps=steps,
                                        extra_random=20_000, seed=seed)
@@ -367,14 +386,18 @@ class TestMarginalScreening:
             marginal_screening_plausible(design, y, 4, 0.1)
 
 
-class TestSuffStatBox:
-    def test_box_geometry(self):
-        from locsim.lasso import SuffStatBox
-        box = SuffStatBox(np.array([1.0, -2.0]), 0.5).polyhedron()
-        assert box.contains(np.array([1.4, -1.6]))
-        assert not box.contains(np.array([1.6, -2.0]))
-        with pytest.raises(ValueError):
-            SuffStatBox(np.zeros(2), -0.1)
+@pytest.mark.parametrize("screen", [safe_screening, exact_screening])
+def test_negative_radius_rejected(screen):
+    design, y = random_instance(7, d=3)
+    _, pair = lasso_solve(design, y, 0.5)
+    with pytest.raises(ValueError):
+        screen(design, y, pair, 0.5, -0.1)
+
+
+def test_negative_radius_rejected_by_the_fill():
+    design, y = random_instance(7, d=3)
+    with pytest.raises(ValueError):
+        enumerate_plausible_models(design, y, 0.5, -0.1)
 
 
 class TestColumnMaxQuantile:

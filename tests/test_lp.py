@@ -122,6 +122,12 @@ class TestPolyhedron:
         closed = Polyhedron(np.array([[1.0]]), np.array([1.0]))
         assert closed.contains(np.array([1.0]))
 
+    def test_box_geometry(self):
+        region = Polyhedron.box(np.array([1.0, -2.0]), 0.5)
+        assert region.contains(np.array([1.4, -1.6]))
+        assert region.contains(np.array([1.5, -2.5]))
+        assert not region.contains(np.array([1.6, -2.0]))
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             Polyhedron(np.eye(2), np.ones(3))
