@@ -585,7 +585,12 @@ def _run_np_on_data(config: ExperimentConfig):
     """User-data mode: one nonparametric analysis of a CSV of observations."""
     if config.data is None:
         raise ConfigError(f"{config.kind} requires data = <csv of samples>")
-    raw = np.loadtxt(config.data, delimiter=",", ndmin=2)
+    with open(config.data) as fh:
+        lines = fh.readlines()
+    # loadtxt only warns on a file without data rows; say so plainly.
+    if not any(line.split("#", 1)[0].strip() for line in lines):
+        raise ConfigError(f"{config.data} contains no data")
+    raw = np.loadtxt(lines, delimiter=",", ndmin=2)
     samples = SampleMatrix(raw)
     budget = config.budget()
     t0 = time.perf_counter()

@@ -41,6 +41,10 @@ DEFAULT_DRAWS = 100_000
 _BET_REFERENCE_ALPHA = 0.05
 _BET_TRUNCATION = 0.5
 _BETTING_GRID_STEP = 1e-3
+# Rows per block of the betting profile: a grid value may drop out only at
+# a block's end, so the block trades per-block overhead against capital
+# computed past the drop.
+_BETTING_BLOCK = 32
 
 
 class CovarianceError(ValueError):
@@ -321,28 +325,59 @@ def _betting_lambdas(x: np.ndarray) -> np.ndarray:
     return lam
 
 
-def betting_capital_peaks(samples):
+def betting_capital_peaks(samples, alpha_floor=None):
     """Running-maximum log capital of the hedged betting process at every
     grid mean in (0, 1), step 1e-3.
 
     The bets are predictable and do not depend on any error level, so one
     peak profile serves every alpha: a grid value survives level alpha iff
     its peak stays below log(1/alpha).  Returns (grid, peaks).
+
+    The samples are walked in blocks of ``_BETTING_BLOCK`` rows.  With an
+    ``alpha_floor`` in (0, 1), a grid value whose peak has reached
+    log(1/alpha_floor) at the end of a block is dropped: its reported peak
+    is the peak at the drop, which is >= log(1/alpha_floor), so it is
+    rejected at every level >= alpha_floor.  Every other peak equals the
+    full-sample peak bit for bit, so intervals at levels >= alpha_floor are
+    the same as with no floor.  ``alpha_floor=None`` drops nothing.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise ValueError("need at least 2 samples")
     if not np.all(np.isfinite(x)) or x.min() < 0.0 or x.max() > 1.0:
         raise ValueError("samples must lie in [0, 1]")
+    if alpha_floor is not None and not (0.0 < alpha_floor < 1.0):
+        raise ValueError(f"alpha_floor must lie in (0, 1), got {alpha_floor}")
+    threshold = math.inf if alpha_floor is None else math.log(1.0 / alpha_floor)
     grid = np.arange(_BETTING_GRID_STEP, 1.0, _BETTING_GRID_STEP)
     lam = _betting_lambdas(x)
-    lam_plus = np.minimum(lam[:, None], _BET_TRUNCATION / grid[None, :])
-    lam_minus = np.minimum(lam[:, None], _BET_TRUNCATION / (1.0 - grid[None, :]))
-    diff = x[:, None] - grid[None, :]
-    log_k_plus = np.cumsum(np.log1p(lam_plus * diff), axis=0)
-    log_k_minus = np.cumsum(np.log1p(-lam_minus * diff), axis=0)
-    log_capital = np.logaddexp(log_k_plus, log_k_minus) + math.log(0.5)
-    return grid, log_capital.max(axis=0)
+    peaks = np.empty_like(grid)
+    # The grid values not dropped yet, with their running peak and log
+    # capital after the last block.
+    live = np.arange(grid.size)
+    peak = np.full(grid.size, -np.inf)
+    carry_plus = carry_minus = np.zeros(grid.size)
+    for start in range(0, x.size, _BETTING_BLOCK):
+        rows = slice(start, start + _BETTING_BLOCK)
+        g = grid[live]
+        lam_plus = np.minimum(lam[rows, None], _BET_TRUNCATION / g)
+        lam_minus = np.minimum(lam[rows, None], _BET_TRUNCATION / (1.0 - g))
+        diff = x[rows, None] - g
+        # The carried log capital is the cumsum's first row, so every sum is
+        # accumulated in the same order as one cumsum over all samples.
+        log_k_plus = np.cumsum(np.vstack((carry_plus, np.log1p(lam_plus * diff))),
+                               axis=0)[1:]
+        log_k_minus = np.cumsum(np.vstack((carry_minus, np.log1p(-lam_minus * diff))),
+                                axis=0)[1:]
+        log_capital = np.logaddexp(log_k_plus, log_k_minus) + math.log(0.5)
+        peak = np.maximum(peak, log_capital.max(axis=0))
+        carry_plus, carry_minus = log_k_plus[-1], log_k_minus[-1]
+        drop = peak >= threshold
+        peaks[live[drop]] = peak[drop]
+        live, peak, carry_plus, carry_minus = (
+            a[~drop] for a in (live, peak, carry_plus, carry_minus))
+    peaks[live] = peak
+    return grid, peaks
 
 
 def betting_interval_from_peaks(grid, peaks, alpha: float, fallback: float):
@@ -367,14 +402,22 @@ def betting_ci(samples, alpha):
     on alpha, so intervals are nested in alpha.
 
     ``alpha`` is one level, giving (lower, upper) as floats, or a sequence
-    of levels, giving two arrays with one entry per level.  One capital
-    profile serves every level, and each entry equals the single-level call.
+    of levels, giving two arrays with one entry per level.  Every level must
+    lie in (0, 1).  One capital profile serves every level, computed with
+    the smallest level as ``betting_capital_peaks``' alpha_floor, so grid
+    values stop being computed once rejected at that level; each entry
+    equals the single-level call and the full-grid profile's interval.
     """
+    levels = np.ravel(alpha).astype(float)
+    if levels.size == 0:
+        raise ValueError("alpha must hold at least one level")
+    if not np.all((0.0 < levels) & (levels < 1.0)):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     x = np.asarray(samples, dtype=float).ravel()
-    grid, peaks = betting_capital_peaks(x)
+    grid, peaks = betting_capital_peaks(x, alpha_floor=float(levels.min()))
     center = float(x.mean())
     if np.ndim(alpha) == 0:
-        return betting_interval_from_peaks(grid, peaks, alpha, center)
-    lo, hi = np.array([betting_interval_from_peaks(grid, peaks, a, center)
-                       for a in alpha]).T
+        return betting_interval_from_peaks(grid, peaks, float(levels[0]), center)
+    lo, hi = np.array([betting_interval_from_peaks(grid, peaks, float(a), center)
+                       for a in levels]).T
     return lo, hi

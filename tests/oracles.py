@@ -8,7 +8,9 @@ rules compute the pair's local solution and correlations directly instead
 of reading the selection event.  The conditional-interval
 oracle is the one-outcome-at-a-time bisection that the batched
 ``conditional_winner_interval`` replaced; the batch must match it bit for
-bit.
+bit.  The betting oracle is the full-grid capital profile that the
+early-exit ``betting_capital_peaks`` replaced: every peak the early exit
+keeps must match it bit for bit.
 """
 
 import math
@@ -17,6 +19,12 @@ from itertools import combinations
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import log_ndtr
+
+from locsim.stats_core import (
+    _BET_TRUNCATION,
+    _BETTING_GRID_STEP,
+    _betting_lambdas,
+)
 
 
 def normal_cdf_quad(x: float) -> float:
@@ -194,3 +202,23 @@ def conditional_winner_interval_scalar(y, sigma: float, alpha: float):
         return 0.5 * (lo + hi)
 
     return (solve(1.0 - alpha / 2.0), solve(alpha / 2.0))
+
+
+def betting_capital_peaks_full(samples):
+    """Running-maximum log capital of the hedged betting process at every
+    grid mean in (0, 1), step 1e-3, over every sample and every grid value:
+    one cumsum over the whole (n, grid) table.  Returns (grid, peaks)."""
+    x = np.asarray(samples, dtype=float).ravel()
+    if x.size < 2:
+        raise ValueError("need at least 2 samples")
+    if not np.all(np.isfinite(x)) or x.min() < 0.0 or x.max() > 1.0:
+        raise ValueError("samples must lie in [0, 1]")
+    grid = np.arange(_BETTING_GRID_STEP, 1.0, _BETTING_GRID_STEP)
+    lam = _betting_lambdas(x)
+    lam_plus = np.minimum(lam[:, None], _BET_TRUNCATION / grid[None, :])
+    lam_minus = np.minimum(lam[:, None], _BET_TRUNCATION / (1.0 - grid[None, :]))
+    diff = x[:, None] - grid[None, :]
+    log_k_plus = np.cumsum(np.log1p(lam_plus * diff), axis=0)
+    log_k_minus = np.cumsum(np.log1p(-lam_minus * diff), axis=0)
+    log_capital = np.logaddexp(log_k_plus, log_k_minus) + math.log(0.5)
+    return grid, log_capital.max(axis=0)

@@ -1,5 +1,8 @@
 """Standalone property suites: nestedness, monotonicity, determinism,
-KKT residuals, and LP agreement with brute-force vertex enumeration."""
+KKT residuals, LP agreement with brute-force vertex enumeration, and the
+early-exit betting profile against the full-grid one."""
+
+import math
 
 import numpy as np
 import pytest
@@ -11,14 +14,16 @@ from locsim.lp import Polyhedron, lp_maximize
 from locsim.stats_core import (
     GaussianNoise,
     RngSpec,
+    betting_capital_peaks,
     betting_ci,
+    betting_interval_from_peaks,
     hoeffding_width,
     max_abs_quantile_iid,
     max_stat_quantile_mc,
 )
 from locsim.winner import plausible_filedrawer_set, plausible_winner_set
 
-from oracles import vertex_enumeration_max
+from oracles import betting_capital_peaks_full, vertex_enumeration_max
 
 COMMON = dict(deadline=None, max_examples=25)
 
@@ -95,6 +100,43 @@ def test_betting_ci_nested_in_alpha(seed):
     # A level sequence is one call for both levels, entry for entry the same.
     lo, hi = betting_ci(x, (0.2, 0.05))
     assert lo.tolist() == [inner[0], outer[0]] and hi.tolist() == [inner[1], outer[1]]
+
+
+# Bounded samples of any length the studies use: Beta draws, 0/1 draws,
+# and constant columns (at an endpoint or inside).
+SAMPLE_KINDS = {
+    "beta": lambda gen, n, value: gen.beta(2, 5, size=n),
+    "zero-one": lambda gen, n, value: (gen.uniform(size=n) < value).astype(float),
+    "constant": lambda gen, n, value: np.full(n, value),
+}
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(sorted(SAMPLE_KINDS)), st.integers(2, 1200),
+       st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       st.floats(1e-4, 0.5),
+       st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                min_size=3, max_size=3))
+def test_betting_early_exit_matches_full_grid(kind, n, seed, value, floor, fractions):
+    x = SAMPLE_KINDS[kind](np.random.default_rng(seed), n, value)
+    grid, full = betting_capital_peaks_full(x)
+    threshold = math.log(1.0 / floor)
+    fast_grid, fast = betting_capital_peaks(x, alpha_floor=floor)
+    kept = fast < threshold
+    # The kept grid values are exactly those the full profile keeps, with
+    # the same peaks; a dropped value's peak has reached the threshold.
+    assert np.array_equal(fast_grid, grid)
+    assert np.array_equal(kept, full < threshold)
+    assert np.array_equal(fast[kept], full[kept])
+    assert np.all(fast[~kept] >= threshold)
+    # No floor: the full profile everywhere.
+    assert np.array_equal(betting_capital_peaks(x)[1], full)
+    # Intervals at the floor and at three levels above it (up to 0.9).
+    levels = [floor] + [floor + f * (0.9 - floor) for f in fractions]
+    center = float(x.mean())
+    expected = np.array([betting_interval_from_peaks(grid, full, a, center)
+                         for a in levels]).T
+    assert np.array_equal(np.array(betting_ci(x, levels)), expected)
 
 
 def test_lasso_kkt_on_random_instances():

@@ -194,6 +194,17 @@ class TestBettingCI:
         with pytest.raises(ValueError):
             betting_ci(np.array([0.5]), 0.1)
 
+    @pytest.mark.parametrize("alpha, match", [
+        (0.0, "alpha must lie in"),
+        (1.0, "alpha must lie in"),
+        (float("nan"), "alpha must lie in"),
+        ((0.1, 0.0), "alpha must lie in"),
+        ((), "at least one level"),
+    ])
+    def test_levels_checked_before_the_profile(self, alpha, match):
+        with pytest.raises(ValueError, match=match):
+            betting_ci(np.full(50, 0.5), alpha)
+
     def test_coverage_beta(self):
         trials, n, alpha = 2000, 100, 0.1
         truth = 2.0 / 7.0
