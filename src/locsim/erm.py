@@ -131,16 +131,21 @@ def erm_risk_bound(losses: LossMatrix, budget: BudgetSplit, rng: RngSpec,
     """Localized population-risk bound for the empirical risk minimizer.
 
     bound = R_n(f_hat) + gap(plausible set) + sqrt((2/n) log(1/(alpha-nu))).
-    Both complexity estimates reuse the same sign draws, which makes the
-    localized gap never exceed the full gap draw by draw; it is additionally
-    clamped since either estimate upper-bounds the localized complexity.
+    When screening keeps every hypothesis the plausible set is the class and
+    its gap is ``gap_full``.  Otherwise a second Monte-Carlo pass estimates
+    the subset's gap on the same sign draws, which makes it never exceed the
+    full gap draw by draw; it is additionally clamped since either estimate
+    upper-bounds the localized complexity.
     """
     risks = losses.empirical_risks()
     erm = int(np.argmin(risks))
     gap_full = rademacher_mc(losses, rng.child(0), n_draws)
     keep = plausible_hypotheses(losses, gap_full, budget.nu)
-    gap_local = rademacher_mc(losses.restrict(keep), rng.child(0), n_draws)
-    gap_local = min(gap_local, gap_full)
+    if keep.size == losses.n_hypotheses:
+        gap_local = gap_full
+    else:
+        gap_local = min(rademacher_mc(losses.restrict(keep), rng.child(0), n_draws),
+                        gap_full)
     dev = math.sqrt((2.0 / losses.n) * math.log(1.0 / budget.inference_level))
     bound = float(risks[erm] + gap_local + dev)
     return LocalizedBound(erm, float(risks[erm]), gap_full, gap_local,

@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import binom
+from scipy.special import bdtr, ndtri
 
 __all__ = [
     "RngSpec",
@@ -280,7 +279,7 @@ def _bentkus_one_sided_tail(n: int, t: float) -> float:
     # (slightly) larger, hence the resulting width conservative.
     p = min(0.5 + t, 1.0)
     k = math.ceil(n / 2)
-    return min(1.0, math.e * float(binom.cdf(k, n, p)))
+    return min(1.0, math.e * float(bdtr(k, n, p)))
 
 
 def bentkus_width(n: int, alpha: float) -> float:

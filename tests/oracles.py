@@ -10,7 +10,10 @@ oracle is the one-outcome-at-a-time bisection that the batched
 ``conditional_winner_interval`` replaced; the batch must match it bit for
 bit.  The betting oracle is the full-grid capital profile that the
 early-exit ``betting_capital_peaks`` replaced: every peak the early exit
-keeps must match it bit for bit.
+keeps must match it bit for bit.  The Bentkus oracle bisects on
+``scipy.stats.binom.cdf`` where the library calls ``scipy.special.bdtr``,
+and the two-pass ERM oracle estimates the plausible set's gap by a second
+Monte-Carlo pass even when the set is the whole class.
 """
 
 import math
@@ -19,7 +22,9 @@ from itertools import combinations
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import log_ndtr
+from scipy.stats import binom
 
+from locsim.erm import LocalizedBound, plausible_hypotheses, rademacher_mc
 from locsim.stats_core import (
     _BET_TRUNCATION,
     _BETTING_GRID_STEP,
@@ -222,3 +227,36 @@ def betting_capital_peaks_full(samples):
     log_k_minus = np.cumsum(np.log1p(-lam_minus * diff), axis=0)
     log_capital = np.logaddexp(log_k_plus, log_k_minus) + math.log(0.5)
     return grid, log_capital.max(axis=0)
+
+
+def bentkus_width_binom(n: int, alpha: float) -> float:
+    """Two-sided Bentkus half-width, bisecting on ``scipy.stats.binom.cdf``."""
+    def tail(t):
+        return min(1.0, math.e * float(binom.cdf(math.ceil(n / 2), n, min(0.5 + t, 1.0))))
+
+    target = alpha / 2.0
+    if tail(0.5) > target:
+        return 0.5
+    lo, hi = 0.0, 0.5
+    while hi - lo > 1e-8:
+        mid = 0.5 * (lo + hi)
+        if tail(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def erm_risk_bound_two_pass(losses, budget, rng, n_draws=2000):
+    """ERM risk bound whose localized gap always comes from a second
+    Monte-Carlo pass over the plausible columns, on the same sign draws."""
+    risks = losses.empirical_risks()
+    erm = int(np.argmin(risks))
+    gap_full = rademacher_mc(losses, rng.child(0), n_draws)
+    keep = plausible_hypotheses(losses, gap_full, budget.nu)
+    gap_local = rademacher_mc(losses.restrict(keep), rng.child(0), n_draws)
+    gap_local = min(gap_local, gap_full)
+    dev = math.sqrt((2.0 / losses.n) * math.log(1.0 / budget.inference_level))
+    bound = float(risks[erm] + gap_local + dev)
+    return LocalizedBound(erm, float(risks[erm]), gap_full, gap_local,
+                          int(keep.size), bound, budget)

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import locsim.erm as erm_mod
 from locsim.erm import (
     LocalizedBound,
     LossMatrix,
@@ -15,7 +16,7 @@ from locsim.erm import (
 from locsim.stats_core import RngSpec
 from locsim.theory_core import BudgetSplit
 
-from oracles import exact_rademacher_mean_abs
+from oracles import erm_risk_bound_two_pass, exact_rademacher_mean_abs
 
 BUDGET = BudgetSplit(0.1, 0.01)
 
@@ -109,6 +110,20 @@ class TestPlausibleHypotheses:
         assert 0 in keep and 1 in keep
 
 
+def _runner_losses(seed):
+    # The coverage runner's problem: n = 200, 50 Bernoulli hypotheses.
+    means = np.linspace(0.1, 0.9, 50)
+    gen = np.random.default_rng(seed)
+    return LossMatrix((gen.random((200, means.size)) < means).astype(float))
+
+
+def _dominant_losses():
+    # One near-zero-risk hypothesis among deterministic risk-1 ones.
+    gen = np.random.default_rng(9)
+    good = (gen.random((400, 1)) < 0.02).astype(float)
+    return LossMatrix(np.hstack([good, np.ones((400, 30))]))
+
+
 class TestErmRiskBound:
     def test_single_hypothesis_reduces_to_one_function_bound(self):
         gen = np.random.default_rng(7)
@@ -119,14 +134,8 @@ class TestErmRiskBound:
         assert res.bound == pytest.approx(res.erm_risk + res.gap_local + dev, abs=1e-12)
 
     def test_dominant_hypothesis_localizes(self):
-        # One near-zero-risk hypothesis, many deterministic risk-1 hypotheses:
-        # the plausible set collapses and the localized gap drops.
-        n, junk = 400, 30
-        gen = np.random.default_rng(9)
-        good = (gen.random((n, 1)) < 0.02).astype(float)
-        bad = np.ones((n, junk))
-        lm = LossMatrix(np.hstack([good, bad]))
-        res = erm_risk_bound(lm, BUDGET, RngSpec(10), 4000)
+        # The plausible set collapses and the localized gap drops.
+        res = erm_risk_bound(_dominant_losses(), BUDGET, RngSpec(10), 4000)
         assert res.erm_index == 0
         assert res.plausible_count == 1
         assert res.gap_local < res.gap_full
@@ -146,3 +155,27 @@ class TestErmRiskBound:
             res = erm_risk_bound(LossMatrix(losses), BUDGET, RngSpec(12, t), 400)
             holds += means[res.erm_index] <= res.bound
         assert holds / trials >= 0.9 - 3 * math.sqrt(0.09 / trials)
+
+
+class TestSinglePassWhenNothingIsScreened:
+    """The localized gap skips its Monte-Carlo pass when screening keeps the
+    whole class, and matches the two-pass oracle either way."""
+
+    @pytest.mark.parametrize("losses, budget, passes", [
+        (_runner_losses(0), BudgetSplit.default(0.1), 1),
+        (_runner_losses(1), BudgetSplit.default(0.1), 1),
+        (_dominant_losses(), BUDGET, 2),
+    ], ids=["runner-seed0", "runner-seed1", "dominant"])
+    def test_matches_two_pass_oracle(self, losses, budget, passes, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rademacher_mc(*args, **kwargs)
+
+        monkeypatch.setattr(erm_mod, "rademacher_mc", counted)
+        rng = RngSpec(3, 5002, (7,))
+        res = erm_mod.erm_risk_bound(losses, budget, rng, 500)
+        assert res == erm_risk_bound_two_pass(losses, budget, rng, 500)
+        assert len(calls) == passes
+        assert (res.plausible_count == losses.n_hypotheses) == (passes == 1)

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import locsim.experiments as experiments_mod
 from locsim.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -22,6 +23,7 @@ from locsim.experiments import (
     run_experiment,
     write_csv,
 )
+from locsim.stats_core import GaussianNoise, RngSpec, conservative_quantile
 
 
 class TestGenerateMu:
@@ -182,6 +184,43 @@ class TestConfigFile:
                 ExperimentConfig(**bad).validate()
         with pytest.raises(ConfigError):
             run_coverage(ExperimentConfig(kind="coverage", problem="winner", trials=0))
+
+
+class TestRbfQuantileCache:
+    """The RBF cell computes each (level, mask) order statistic once, and
+    every one equals the uncached quantile of the cell's draw table."""
+
+    @pytest.mark.parametrize("trials_fn, stream", [
+        (experiments_mod._winner_trials, 1000),
+        (experiments_mod._filedrawer_trials, 2000),
+    ], ids=["winner", "filedrawer"])
+    def test_cached_quantiles_match_uncached(self, trials_fn, stream, monkeypatch):
+        cfg = ExperimentConfig(trials=200, seed=0)
+        theta, C, m = 0.5, 10.0, 10
+        computed = []
+
+        def counted(stats, level):
+            computed.append(level)
+            return conservative_quantile(stats, level)
+
+        monkeypatch.setattr(experiments_mod, "conservative_quantile", counted)
+        mu, ys, q = experiments_mod._cell_outcomes(cfg, theta, C, m, "rbf", stream)
+        asked = []
+
+        def recorded(level, mask=None):
+            asked.append((level, mask))
+            return q(level, mask)
+
+        trials_fn(cfg, cfg.budget(), mu, ys, recorded, "rbf")
+        noise = GaussianNoise(rbf_covariance(m, cfg.phi))
+        table = np.abs(noise.sample(RngSpec(cfg.seed, stream).child(1).generator(),
+                                    cfg.n_draws)) / noise.marginal_scales
+        for level, mask in asked:
+            stats = (table if mask is None else table[:, mask]).max(axis=1)
+            assert q(level, mask) == conservative_quantile(stats, level)
+        keys = {(level, None if mask is None else mask.tobytes()) for level, mask in asked}
+        assert len(asked) > len(keys) > 2
+        assert len(computed) == len(keys)
 
 
 class TestRunners:

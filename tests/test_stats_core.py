@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import locsim
 
 from locsim.stats_core import (
     CovarianceError,
@@ -16,7 +21,12 @@ from locsim.stats_core import (
     normal_quantile,
 )
 
-from oracles import binomial_se, max_abs_quantile_bisect, phi_inv_bisect
+from oracles import (
+    bentkus_width_binom,
+    binomial_se,
+    max_abs_quantile_bisect,
+    phi_inv_bisect,
+)
 
 # Frozen via phi_inv_bisect (quadrature CDF + bisection).
 PHI_INV_95 = 1.6448536270
@@ -174,6 +184,22 @@ class TestBentkusWidth:
         means = gen.integers(0, 2, size=(trials, n)).mean(axis=1)
         coverage = np.mean(np.abs(means - 0.5) <= w)
         assert coverage >= 0.9 - 3 * binomial_se(0.9, trials)
+
+    # nu / m at the default budget for m = 10, 50 (winner-np and the --data
+    # runs) and 100.
+    @pytest.mark.parametrize("alpha", [1e-3, 2e-4, 1e-4])
+    def test_bdtr_matches_binom_cdf_widths(self, alpha):
+        for n in [*range(1, 301), 500, 999, 1000, 2000]:
+            assert bentkus_width(n, alpha) == bentkus_width_binom(n, alpha), n
+
+    def test_import_leaves_scipy_stats_out(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(locsim.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, locsim; print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "False"
 
 
 class TestBettingCI:
