@@ -4,7 +4,9 @@ Each runner simulates a selection problem over a parameter grid, applies
 the configured inference methods per trial, and aggregates interval widths
 and coverage into ResultRow records.  All randomness derives from the
 config seed through named substreams, so a (config, seed) pair pins the
-statistical content of the output exactly.
+statistical content of the output exactly, with one qualification: where
+correlated (RBF) draws go through a matrix product, the bits are pinned
+only for a fixed BLAS thread count.  Diagonal noise never touches BLAS.
 
 Scenario notes
 --------------

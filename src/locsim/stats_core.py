@@ -92,25 +92,33 @@ class QuantileEstimate:
 class GaussianNoise:
     """Centered Gaussian noise N(0, Sigma) with a cached Cholesky factor.
 
-    Sigma must be symmetric (within 1e-10) with strictly positive diagonal.
-    If the factorization fails, a jitter of 1e-10 * trace/m is added to the
-    diagonal once; a second failure raises CovarianceError.
+    Sigma must be nonempty and symmetric (within 1e-10) with strictly
+    positive diagonal.  If the factorization fails, a jitter of
+    1e-10 * trace/m is added to the diagonal once; a second failure raises
+    CovarianceError.  A diagonal Sigma skips LAPACK: its factor is
+    diag(sqrt(diag)), and ``sample`` scales the same standard normal draws
+    elementwise instead of multiplying by the factor, which gives the same
+    bits as the matrix product (each entry is z * sigma plus exact zeros).
     """
 
     def __init__(self, covariance):
         cov = np.asarray(covariance, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise CovarianceError("covariance must be a square matrix")
+        if cov.shape[0] == 0:
+            raise CovarianceError("covariance must be nonempty")
         if not np.all(np.isfinite(cov)):
             raise CovarianceError("covariance has non-finite entries")
-        if np.max(np.abs(cov - cov.T)) > 1e-10:
-            raise CovarianceError("covariance is not symmetric within 1e-10")
         diag = np.diag(cov)
+        # No off-diagonal entry is nonzero; a diagonal matrix is symmetric.
+        diagonal = np.count_nonzero(cov) == np.count_nonzero(diag)
+        if not diagonal and np.max(np.abs(cov - cov.T)) > 1e-10:
+            raise CovarianceError("covariance is not symmetric within 1e-10")
         if np.any(diag <= 0):
             raise CovarianceError("covariance diagonal must be strictly positive")
         m = cov.shape[0]
         try:
-            factor = np.linalg.cholesky(cov)
+            factor = np.diag(np.sqrt(diag)) if diagonal else np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             jitter = 1e-10 * np.trace(cov) / m
             try:
@@ -121,6 +129,7 @@ class GaussianNoise:
         self.dimension = m
         self.factor = factor
         self.marginal_scales = np.sqrt(diag)
+        self.diagonal = diagonal
 
     @classmethod
     def iid(cls, dimension: int, sigma: float = 1.0) -> "GaussianNoise":
@@ -133,7 +142,11 @@ class GaussianNoise:
         return GaussianNoise(self.covariance[np.ix_(idx, idx)])
 
     def sample(self, generator: np.random.Generator, n: int) -> np.ndarray:
-        return generator.standard_normal((n, self.dimension)) @ self.factor.T
+        z = generator.standard_normal((n, self.dimension))
+        if self.diagonal:
+            z *= self.marginal_scales
+            return z
+        return z @ self.factor.T
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +225,10 @@ def max_stat_quantile_mc(noise: GaussianNoise, subset, alpha: float,
     """MC quantile of the maximal z-statistic max_{i in subset} |Z_i| / sigma_i.
 
     Z ~ N(0, Sigma) restricted to the subset; intervals on the original scale
-    are recovered by multiplying back by the marginal scales.
+    are recovered by multiplying back by the marginal scales.  The full set
+    reuses ``noise`` and its factor; diagonal noise is scaled elementwise
+    (see ``GaussianNoise``), with the same draws and the same bits as the
+    product with its factor.
     """
     idx = np.asarray(sorted(set(int(i) for i in np.asarray(subset, dtype=int).ravel())))
     if idx.size == 0:
@@ -223,14 +239,16 @@ def max_stat_quantile_mc(noise: GaussianNoise, subset, alpha: float,
         raise ValueError("alpha must lie in (0, 1)")
     if n_draws < 1000:
         raise ValueError("n_draws must be at least 1000")
-    sub = noise.restrict(idx)
+    sub = noise if idx.size == noise.dimension else noise.restrict(idx)
     scales = sub.marginal_scales
     gen = rng.generator()
     stats = np.empty(n_draws)
     pos = 0
     for take in _chunk_sizes(n_draws, idx.size):
         z = sub.sample(gen, take)
-        stats[pos:pos + take] = np.max(np.abs(z) / scales, axis=1)
+        np.abs(z, out=z)
+        z /= scales
+        stats[pos:pos + take] = np.max(z, axis=1)
         pos += take
     return _mc_quantile_estimate(stats, alpha, n_draws)
 

@@ -13,7 +13,10 @@ early-exit ``betting_capital_peaks`` replaced: every peak the early exit
 keeps must match it bit for bit.  The Bentkus oracle bisects on
 ``scipy.stats.binom.cdf`` where the library calls ``scipy.special.bdtr``,
 and the two-pass ERM oracle estimates the plausible set's gap by a second
-Monte-Carlo pass even when the set is the whole class.
+Monte-Carlo pass even when the set is the whole class.  The dense max-stat
+oracle restricts the noise on every call, full set included, and draws
+through the product with the factor even when the noise is diagonal; the
+library's full-set reuse and elementwise scaling must match it bit for bit.
 """
 
 import math
@@ -29,6 +32,8 @@ from locsim.stats_core import (
     _BET_TRUNCATION,
     _BETTING_GRID_STEP,
     _betting_lambdas,
+    _chunk_sizes,
+    _mc_quantile_estimate,
 )
 
 
@@ -260,3 +265,18 @@ def erm_risk_bound_two_pass(losses, budget, rng, n_draws=2000):
     bound = float(risks[erm] + gap_local + dev)
     return LocalizedBound(erm, float(risks[erm]), gap_full, gap_local,
                           int(keep.size), bound, budget)
+
+
+def max_stat_quantile_mc_dense(noise, subset, alpha, rng, n_draws):
+    """MC quantile of max_{i in subset} |Z_i| / sigma_i that restricts the
+    noise on every call and draws ``standard_normal @ factor.T``."""
+    idx = np.asarray(sorted(set(int(i) for i in np.asarray(subset, dtype=int).ravel())))
+    sub = noise.restrict(idx)
+    gen = rng.generator()
+    stats = np.empty(n_draws)
+    pos = 0
+    for take in _chunk_sizes(n_draws, idx.size):
+        z = gen.standard_normal((take, idx.size)) @ sub.factor.T
+        stats[pos:pos + take] = np.max(np.abs(z) / sub.marginal_scales, axis=1)
+        pos += take
+    return _mc_quantile_estimate(stats, alpha, n_draws)

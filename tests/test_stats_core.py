@@ -8,6 +8,7 @@ import pytest
 
 import locsim
 
+from locsim.experiments import rbf_covariance
 from locsim.stats_core import (
     CovarianceError,
     GaussianNoise,
@@ -25,6 +26,7 @@ from oracles import (
     bentkus_width_binom,
     binomial_se,
     max_abs_quantile_bisect,
+    max_stat_quantile_mc_dense,
     phi_inv_bisect,
 )
 
@@ -124,6 +126,40 @@ class TestMaxStatQuantileMC:
             max_stat_quantile_mc(noise, [0, 5], 0.1, RngSpec(0), 10_000)
         with pytest.raises(ValueError):
             max_stat_quantile_mc(noise, [0], 0.1, RngSpec(0), 500)
+
+
+_COVARIANCES = {
+    "iid": lambda m: np.eye(m),
+    "iid-2.5": lambda m: 2.5**2 * np.eye(m),
+    "hetero": lambda m: np.diag(np.linspace(0.2, 3.0, m) ** 2),
+    "rbf": lambda m: rbf_covariance(m, 20.0),
+}
+
+
+class TestMaxStatMatchesDenseOracle:
+    """Full-set reuse and elementwise scaling of diagonal noise keep every
+    bit of the restrict-and-multiply kernel."""
+
+    @staticmethod
+    def _check(cov, subset, n_draws, seed):
+        noise = GaussianNoise(cov)
+        rng = RngSpec(seed, 4)
+        got = max_stat_quantile_mc(noise, subset, 0.1, rng, n_draws)
+        want = max_stat_quantile_mc_dense(noise, subset, 0.1, rng, n_draws)
+        assert got.value == want.value
+        assert got.mc_std_err == want.mc_std_err
+
+    @pytest.mark.parametrize("kind", sorted(_COVARIANCES))
+    @pytest.mark.parametrize("full", [True, False])
+    def test_m50(self, kind, full):
+        subset = range(50) if full else [3, 4, 17, 30, 31, 49]
+        self._check(_COVARIANCES[kind](50), subset, 5_000, 11)
+
+    @pytest.mark.parametrize("kind", ["iid", "hetero"])
+    @pytest.mark.parametrize("full", [True, False])
+    def test_m1000_spans_chunks(self, kind, full):
+        subset = range(1000) if full else np.arange(0, 1000, 3)
+        self._check(_COVARIANCES[kind](1000), subset, 10_000, 12)
 
 
 class TestContrastQuantileMC:
@@ -264,6 +300,38 @@ class TestGaussianNoise:
         cov = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 3.0]])
         sub = GaussianNoise(cov).restrict([0, 2])
         assert np.allclose(sub.covariance, cov[np.ix_([0, 2], [0, 2])])
+
+    def test_empty_rejected(self):
+        for make in (lambda: GaussianNoise(np.eye(0)),
+                     lambda: GaussianNoise.iid(0),
+                     lambda: GaussianNoise.iid(2).restrict([])):
+            with pytest.raises(CovarianceError, match="nonempty"):
+                make()
+
+    @pytest.mark.parametrize("kind", ["iid", "iid-2.5", "hetero"])
+    def test_diagonal_bits_match_cholesky(self, kind):
+        cov = _COVARIANCES[kind](1000)
+        noise = GaussianNoise(cov)
+        assert noise.diagonal
+        factor = np.linalg.cholesky(cov)
+        assert np.array_equal(noise.factor, factor)
+        got = noise.sample(RngSpec(5).generator(), 300)
+        want = RngSpec(5).generator().standard_normal((300, 1000)) @ factor.T
+        assert np.array_equal(got, want)
+
+    def test_restrict_of_diagonal_is_diagonal(self):
+        noise = GaussianNoise(_COVARIANCES["hetero"](20))
+        idx = [1, 7, 8, 19]
+        sub = noise.restrict(idx)
+        assert sub.diagonal
+        assert np.array_equal(sub.marginal_scales, noise.marginal_scales[idx])
+        got = sub.sample(RngSpec(6).generator(), 500)
+        want = RngSpec(6).generator().standard_normal((500, 4)) @ sub.factor.T
+        assert np.array_equal(got, want)
+
+    def test_correlated_is_not_diagonal(self):
+        assert not GaussianNoise(_COVARIANCES["rbf"](10)).diagonal
+        assert not GaussianNoise(np.array([[1.0, 1e-300], [1e-300, 1.0]])).diagonal
 
 
 class TestRngSpec:
