@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats_core import RngSpec
+from .stats_core import RngSpec, _chunk_sizes
 from .theory_core import BudgetSplit
 
 __all__ = [
@@ -103,10 +103,8 @@ def rademacher_mc(losses, rng: RngSpec, n_draws: int = 2000) -> float:
     n = mat.shape[0]
     gen = rng.generator()
     sups = np.empty(n_draws)
-    chunk = max(1, 2_000_000 // max(mat.size, 1))
     pos = 0
-    while pos < n_draws:
-        take = min(chunk, n_draws - pos)
+    for take in _chunk_sizes(n_draws, mat.size, 2_000_000):
         signs = gen.integers(0, 2, size=(take, n)) * 2.0 - 1.0
         sups[pos:pos + take] = np.abs(signs @ mat).max(axis=1) / n
         pos += take

@@ -474,8 +474,6 @@ def _cell_outcomes(config, theta, C, m, cov_kind, stream):
     ``q(level, mask=None)`` is the 1-level quantile of max |Z_i|/sigma_i over
     the masked coordinates, or over all of them when the mask is None.
     """
-    if cov_kind not in _CELL_NOISE:
-        raise ConfigError(f"unknown covariance kind {cov_kind!r}")
     mu = generate_mu_reference_scaled(m, theta, C)
     return (mu, *_CELL_NOISE[cov_kind](config, mu, RngSpec(config.seed, stream)))
 

@@ -3,6 +3,11 @@
 Polyhedra are stored as {z : A z <= b} with an optional per-row strictness
 flag.  Strict rows are measure-zero boundaries; the solver always works with
 the closure and callers handle strictness through epsilon margins.
+
+The solver is a dense two-phase Bland simplex that works on whole arrays: a
+pivot is one rank-1 update of every row with a nonzero entry in the pivot
+column, and the entering column is the first ``flatnonzero`` hit of the
+reduced costs.  Only the ratio test walks rows one at a time.
 """
 
 from __future__ import annotations
@@ -62,11 +67,6 @@ class Polyhedron:
     def dim(self) -> int:
         return self.A.shape[1]
 
-    def without_row(self, i: int) -> "Polyhedron":
-        keep = np.ones(self.n_rows, dtype=bool)
-        keep[i] = False
-        return Polyhedron(self.A[keep], self.b[keep], self.open_row[keep])
-
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
@@ -113,15 +113,14 @@ class RedundancyResult:
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
-    piv = tableau[row]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * piv
+    factor = tableau[:, col]
+    rows = np.flatnonzero(factor != 0.0)
+    rows = rows[rows != row]
+    tableau[rows] -= factor[rows, None] * tableau[row]
     basis[row] = col
 
 
-def _simplex_min(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-                 tol: float = _TOL) -> str:
+def _simplex_min(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> str:
     """Bland-rule simplex on an equality tableau [A | b] with rhs >= 0.
 
     Minimizes cost over x >= 0 given a starting basic feasible basis.
@@ -134,25 +133,22 @@ def _simplex_min(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
         cb = cost[basis]
         reduced = cost - cb @ tableau[:, :ncols]
         reduced[basis] = 0.0
-        entering = -1
-        for j in range(ncols):
-            if reduced[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+        candidates = np.flatnonzero(reduced < -_TOL)
+        if candidates.size == 0:
             return "optimal"
+        entering = candidates[0]
         col = tableau[:, entering]
         best_ratio = np.inf
         leaving = -1
-        for r in range(m):
-            if col[r] > tol:
-                ratio = tableau[r, -1] / col[r]
-                if ratio < best_ratio - tol or (
-                    abs(ratio - best_ratio) <= tol
-                    and (leaving < 0 or basis[r] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = r
+        # Sequential on purpose: a tie within _TOL depends on the row order.
+        for r in np.flatnonzero(col > _TOL):
+            ratio = tableau[r, -1] / col[r]
+            if ratio < best_ratio - _TOL or (
+                abs(ratio - best_ratio) <= _TOL
+                and (leaving < 0 or basis[r] < basis[leaving])
+            ):
+                best_ratio = ratio
+                leaving = r
         if leaving < 0:
             return "unbounded"
         _pivot(tableau, basis, leaving, entering)
@@ -193,25 +189,18 @@ def lp_maximize(c, region: Polyhedron) -> LpResult:
     phase1_value = cost1[basis] @ tableau[:, -1]
     if phase1_value > 1e-7:
         return LpResult("infeasible", -np.inf)
-    # Drive any remaining artificials out of the basis.
-    for r in range(k):
-        if basis[r] >= ncols:
-            pivot_col = -1
-            for j in range(ncols):
-                if abs(tableau[r, j]) > _TOL:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(tableau, basis, r, pivot_col)
-            else:
-                tableau[r, :] = 0.0  # redundant row
-                basis[r] = ncols + r  # harmless: zero row stays basic
+    # Drive any remaining artificials out of the basis.  A row with no
+    # structural entry is redundant: it keeps its artificial and phase 2
+    # drops it.
+    for r in np.flatnonzero(basis >= ncols):
+        structural = np.flatnonzero(np.abs(tableau[r, :ncols]) > _TOL)
+        if structural.size:
+            _pivot(tableau, basis, r, structural[0])
 
-    # Phase 2 on structural columns only; rows left with a basic artificial
-    # are redundant and dropped.
-    live = np.array([r for r in range(k) if basis[r] < ncols], dtype=int)
-    tableau2 = tableau[live][:, list(range(ncols)) + [-1]]
-    basis2 = basis[live].copy()
+    # Phase 2 on structural columns only.
+    live = np.flatnonzero(basis < ncols)
+    tableau2 = np.delete(tableau[live], np.s_[ncols:ncols + k], axis=1)
+    basis2 = basis[live]
     cost2 = np.concatenate([-c, c, np.zeros(k)])  # minimize -c^T(u - v)
     status = _simplex_min(tableau2, basis2, cost2)
     x = np.zeros(ncols)
@@ -233,7 +222,8 @@ def constraint_nonredundant(region: Polyhedron, i: int, box: Polyhedron) -> Redu
     """
     if not (0 <= i < region.n_rows):
         raise ValueError("row index out of range")
-    relaxed = region.without_row(i).intersect(box)
+    relaxed = Polyhedron(np.vstack([np.delete(region.A, i, axis=0), box.A]),
+                         np.concatenate([np.delete(region.b, i), box.b]))
     res = lp_maximize(region.A[i], relaxed)
     if res.status == "infeasible":
         return RedundancyResult(False, intersection_feasible=False)

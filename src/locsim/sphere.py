@@ -117,10 +117,8 @@ def s_tau(c: float, d: int, tau: float, rng: RngSpec,
     num = gen.standard_normal(n_draws) + c
     chi_sq = gen.standard_normal((n_draws, d - 1))
     denom = np.sqrt(np.einsum("ij,ij->i", chi_sq, chi_sq) / (d - 1))
-    t = np.sort(num / denom)
-    # Lower quantile, biased down: rank floor(tau * (N + 1)) clipped to >= 1.
-    rank = min(max(int(math.floor(tau * (n_draws + 1))), 1), n_draws)
-    q = float(t[rank - 1])
+    # Lower quantile, biased down: the conservative upper quantile of -T.
+    q = -conservative_quantile(-(num / denom), tau)
     if q == 0.0:
         return 0.0
     return math.copysign(math.sqrt(1.0 / ((d - 1) / q**2 + 1.0)), q)

@@ -138,7 +138,13 @@ class GaussianNoise:
         return cls(sigma**2 * np.eye(dimension))
 
     def restrict(self, indices) -> "GaussianNoise":
+        """Noise of the given coordinates; they must be distinct and lie in
+        [0, dimension)."""
         idx = np.asarray(indices, dtype=int)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.dimension):
+            raise CovarianceError("restrict indices out of range")
+        if np.unique(idx).size != idx.size:
+            raise CovarianceError("restrict indices must be distinct")
         return GaussianNoise(self.covariance[np.ix_(idx, idx)])
 
     def sample(self, generator: np.random.Generator, n: int) -> np.ndarray:

@@ -17,6 +17,11 @@ Monte-Carlo pass even when the set is the whole class.  The dense max-stat
 oracle restricts the noise on every call, full set included, and draws
 through the product with the factor even when the noise is diagonal; the
 library's full-set reuse and elementwise scaling must match it bit for bit.
+The loop simplex is the dense Bland simplex with Python loops over rows and
+columns that the array-wise ``lp_maximize`` replaced: status, value and
+witness must match it bit for bit.  The sorted lower quantile is the
+``floor(tau * (N + 1))`` rank rule that ``s_tau`` took before it read its
+quantile from ``conservative_quantile``.
 """
 
 import math
@@ -28,6 +33,7 @@ from scipy.special import log_ndtr
 from scipy.stats import binom
 
 from locsim.erm import LocalizedBound, plausible_hypotheses, rademacher_mc
+from locsim.lp import LpError, LpResult
 from locsim.stats_core import (
     _BET_TRUNCATION,
     _BETTING_GRID_STEP,
@@ -280,3 +286,103 @@ def max_stat_quantile_mc_dense(noise, subset, alpha, rng, n_draws):
         stats[pos:pos + take] = np.max(np.abs(z) / sub.marginal_scales, axis=1)
         pos += take
     return _mc_quantile_estimate(stats, alpha, n_draws)
+
+
+_LP_TOL = 1e-9
+
+
+def _pivot_loops(tableau, basis, row, col):
+    tableau[row] /= tableau[row, col]
+    piv = tableau[row]
+    for r in range(tableau.shape[0]):
+        if r != row and tableau[r, col] != 0.0:
+            tableau[r] -= tableau[r, col] * piv
+    basis[row] = col
+
+
+def _simplex_min_loops(tableau, basis, cost, tol=_LP_TOL):
+    m, ncols = tableau.shape[0], tableau.shape[1] - 1
+    for _ in range(2000 * (m + ncols)):
+        cb = cost[basis]
+        reduced = cost - cb @ tableau[:, :ncols]
+        reduced[basis] = 0.0
+        entering = -1
+        for j in range(ncols):
+            if reduced[j] < -tol:
+                entering = j
+                break
+        if entering < 0:
+            return "optimal"
+        col = tableau[:, entering]
+        best_ratio = np.inf
+        leaving = -1
+        for r in range(m):
+            if col[r] > tol:
+                ratio = tableau[r, -1] / col[r]
+                if ratio < best_ratio - tol or (
+                    abs(ratio - best_ratio) <= tol
+                    and (leaving < 0 or basis[r] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = r
+        if leaving < 0:
+            return "unbounded"
+        _pivot_loops(tableau, basis, leaving, entering)
+    raise LpError("simplex iteration cap exceeded")
+
+
+def lp_maximize_loops(c, region):
+    """Two-phase dense Bland simplex, one row and one column at a time, with
+    the phase-1 drive-out that zeroes a row it cannot pivot on."""
+    c = np.asarray(c, dtype=float).ravel()
+    A, b = region.A, region.b
+    k, n = A.shape
+    if k == 0:
+        if np.all(c == 0.0):
+            return LpResult("optimal", 0.0, np.zeros(n))
+        return LpResult("unbounded", np.inf)
+    ncols = 2 * n + k
+    body = np.hstack([A, -A, np.eye(k)])
+    rhs = b.copy()
+    neg = rhs < 0
+    body[neg] *= -1.0
+    rhs[neg] *= -1.0
+    tableau = np.hstack([body, np.eye(k), rhs[:, None]])
+    basis = np.arange(ncols, ncols + k)
+    cost1 = np.concatenate([np.zeros(ncols), np.ones(k)])
+    if _simplex_min_loops(tableau, basis, cost1) != "optimal":
+        raise LpError("phase 1 reported unbounded")
+    if cost1[basis] @ tableau[:, -1] > 1e-7:
+        return LpResult("infeasible", -np.inf)
+    for r in range(k):
+        if basis[r] >= ncols:
+            pivot_col = -1
+            for j in range(ncols):
+                if abs(tableau[r, j]) > _LP_TOL:
+                    pivot_col = j
+                    break
+            if pivot_col >= 0:
+                _pivot_loops(tableau, basis, r, pivot_col)
+            else:
+                tableau[r, :] = 0.0
+                basis[r] = ncols + r
+    live = np.array([r for r in range(k) if basis[r] < ncols], dtype=int)
+    tableau2 = tableau[live][:, list(range(ncols)) + [-1]]
+    basis2 = basis[live].copy()
+    cost2 = np.concatenate([-c, c, np.zeros(k)])
+    status = _simplex_min_loops(tableau2, basis2, cost2)
+    x = np.zeros(ncols)
+    x[basis2] = tableau2[:, -1]
+    witness = x[:n] - x[n:2 * n]
+    if status == "unbounded":
+        return LpResult("unbounded", np.inf, witness)
+    return LpResult("optimal", float(c @ witness), witness)
+
+
+def lower_quantile_sorted(draws, tau):
+    """Downward-biased lower tau-quantile: the sorted draw of rank
+    floor(tau * (N + 1)), clipped to [1, N]."""
+    t = np.sort(np.asarray(draws, dtype=float))
+    n = t.size
+    rank = min(max(int(math.floor(tau * (n + 1))), 1), n)
+    return float(t[rank - 1])

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+import locsim.lp
+from locsim.lasso import Design, column_max_quantile, enumerate_plausible_models
 from locsim.lp import Polyhedron, constraint_nonredundant, lp_maximize
+from locsim.stats_core import RngSpec
 
-from oracles import vertex_enumeration_max
+from oracles import lp_maximize_loops, vertex_enumeration_max
 
 
 def box(n, half):
@@ -63,6 +68,79 @@ class TestLpMaximize:
         res = lp_maximize(gen.normal(size=3), Polyhedron(A, b))
         assert res.status == "optimal"
         assert np.all(A @ res.witness <= b + 1e-9)
+
+
+def assert_same_lp(c, region):
+    res, ref = lp_maximize(c, region), lp_maximize_loops(c, region)
+    assert res.status == ref.status
+    assert res.value == ref.value
+    if ref.witness is None:
+        assert res.witness is None
+    else:
+        assert np.array_equal(res.witness, ref.witness)
+    return res.status
+
+
+class TestMatchesLoopSimplex:
+    """The array-wise simplex reproduces the row-by-row one bit for bit."""
+
+    def test_random_regions(self):
+        gen = np.random.default_rng(2024)
+        statuses = []
+        for trial in range(240):
+            n = int(gen.integers(1, 9))
+            k = int(gen.integers(1, 12))
+            A = gen.normal(size=(k, n))
+            b = gen.normal(size=k)  # about half the right-hand sides negative
+            dup = gen.integers(0, k, size=int(gen.integers(0, 4)))
+            A = np.vstack([A, A[dup]])
+            b = np.concatenate([b, b[dup]])
+            if trial % 6 == 0:
+                # x_0 <= -1 and -x_0 <= -1 together are infeasible.
+                row = np.zeros(n)
+                row[0] = 1.0
+                A = np.vstack([A, row, -row])
+                b = np.concatenate([b, [-1.0, -1.0]])
+            A = np.vstack([A, np.eye(n), -np.eye(n)])
+            b = np.concatenate([b, np.full(2 * n, 3.0)])
+            statuses.append(assert_same_lp(gen.normal(size=n), Polyhedron(A, b)))
+        assert {"optimal", "infeasible"} <= set(statuses)
+
+    def test_unbounded_and_degenerate_regions(self):
+        gen = np.random.default_rng(77)
+        statuses = []
+        for _ in range(40):
+            n = int(gen.integers(1, 5))
+            A = gen.normal(size=(int(gen.integers(1, 6)), n))
+            A = np.vstack([A, A, 2.0 * A])  # duplicated and rescaled rows
+            b = np.zeros(A.shape[0])  # a cone: every vertex is degenerate
+            statuses.append(assert_same_lp(gen.normal(size=n), Polyhedron(A, b)))
+        assert "unbounded" in statuses
+
+    def test_every_lp_of_a_d8_flood_fill(self, monkeypatch):
+        # The lasso runner's instance (n = 200, lambda0 = 6, sparsity 0.5).
+        d, n = 8, 200
+        lam = 6.0 * math.sqrt(2.0 * math.log(math.e * d))
+        gen = np.random.default_rng(800)
+        X = gen.standard_normal((n, d))
+        X /= np.linalg.norm(X, axis=0)
+        design = Design(X)
+        beta = np.zeros(d)
+        beta[:2], beta[2:4] = 2.0 * lam, lam
+        y = X @ beta + gen.standard_normal(n)
+        s_nu = 2.0 * column_max_quantile(design, 1.0, 0.01, RngSpec(810), 20_000)
+        issued = []
+
+        def recording(c, region):
+            issued.append((np.array(c, dtype=float), region))
+            return lp_maximize(c, region)
+
+        monkeypatch.setattr(locsim.lp, "lp_maximize", recording)
+        _, frontier = enumerate_plausible_models(design, y, lam, s_nu, use_safe=False)
+        monkeypatch.undo()
+        assert len(issued) == frontier.lp_count > 0
+        for c, region in issued:
+            assert_same_lp(c, region)
 
 
 class TestConstraintNonredundant:

@@ -12,10 +12,10 @@ from locsim.sphere import (
     s_tau,
     sphere_interval,
 )
-from locsim.stats_core import RngSpec, normal_quantile
+from locsim.stats_core import RngSpec, conservative_quantile, normal_quantile
 from locsim.theory_core import BudgetSplit
 
-from oracles import binomial_se
+from oracles import binomial_se, lower_quantile_sorted
 
 BUDGET = BudgetSplit(0.1, 0.01)
 
@@ -62,6 +62,30 @@ class TestSTau:
     def test_increasing_in_noncentrality(self):
         vals = [s_tau(c, 4, 0.05, RngSpec(8), 50_000) for c in (0.5, 2.0, 6.0, 20.0)]
         assert vals == sorted(vals)
+
+    # The levels s_tau is called with (nu / 2, default and explicit nu) and
+    # the levels of the tests above.
+    TAUS = (0.005, BudgetSplit.default(0.05).nu / 2, BudgetSplit.default(0.1).nu / 2,
+            BudgetSplit.default(0.2).nu / 2, 0.05, 0.5)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_lower_quantile_matches_sorted_rank(self, tau):
+        # Includes every N with tau * (N + 1) whole below 1200, e.g.
+        # tau = 0.005 at N = 199 and N = 999.
+        gen = np.random.default_rng(11)
+        for n in list(range(1, 1200)) + [9_999, 10_000, 100_000]:
+            draws = gen.standard_normal(n)
+            assert -conservative_quantile(-draws, tau) == lower_quantile_sorted(draws, tau)
+
+    def test_matches_sorted_rank_end_to_end(self):
+        c, d, tau, n = 2.0, 5, 0.005, 999
+        gen = RngSpec(12).generator()
+        num = gen.standard_normal(n) + c
+        chi_sq = gen.standard_normal((n, d - 1))
+        t = num / np.sqrt(np.einsum("ij,ij->i", chi_sq, chi_sq) / (d - 1))
+        q = lower_quantile_sorted(t, tau)
+        want = math.copysign(math.sqrt(1.0 / ((d - 1) / q**2 + 1.0)), q)
+        assert s_tau(c, d, tau, RngSpec(12), n) == want
 
 
 class TestCapQuantile:

@@ -180,6 +180,15 @@ class TestContrastQuantileMC:
         est = contrast_quantile_mc(v, 1.0, 0.1, RngSpec(13), 200_000)
         assert est.value == pytest.approx(Q_PAIR_10, abs=0.01)
 
+    @pytest.mark.parametrize("dim, idx, match", [
+        (2, [5], "out of range"),
+        (3, [-1, 0], "out of range"),
+        (3, [0, 0], "distinct"),
+    ])
+    def test_restrict_rejects_bad_indices(self, dim, idx, match):
+        with pytest.raises(CovarianceError, match=match):
+            GaussianNoise.iid(dim).restrict(idx)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             contrast_quantile_mc(np.zeros((0, 3)), 1.0, 0.1, RngSpec(0), 10_000)
@@ -300,6 +309,15 @@ class TestGaussianNoise:
         cov = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 3.0]])
         sub = GaussianNoise(cov).restrict([0, 2])
         assert np.allclose(sub.covariance, cov[np.ix_([0, 2], [0, 2])])
+
+    @pytest.mark.parametrize("dim, idx, match", [
+        (2, [5], "out of range"),
+        (3, [-1, 0], "out of range"),
+        (3, [0, 0], "distinct"),
+    ])
+    def test_restrict_rejects_bad_indices(self, dim, idx, match):
+        with pytest.raises(CovarianceError, match=match):
+            GaussianNoise.iid(dim).restrict(idx)
 
     def test_empty_rejected(self):
         for make in (lambda: GaussianNoise(np.eye(0)),
