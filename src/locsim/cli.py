@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .experiments import (
+    DATA_KINDS,
     KINDS,
     ConfigError,
     ExperimentConfig,
@@ -49,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, help="trials per grid point")
         p.add_argument("--alpha", type=float, help="target error level")
         p.add_argument("--nu", type=float, help="screening budget (< alpha)")
-        if kind in ("winner-np", "filedrawer-np", "erm"):
+        if kind in DATA_KINDS:
             p.add_argument("--data", help="input CSV (observations or losses)")
         if kind in ("filedrawer", "filedrawer-np"):
             p.add_argument("--threshold", type=float, help="selection threshold")

@@ -97,10 +97,6 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-KINDS = ("figure1", "winner", "filedrawer", "winner-np", "filedrawer-np",
-         "lasso", "erm", "sphere", "coverage")
-
-
 class ConfigError(ValueError):
     """Bad experiment configuration."""
 
@@ -155,11 +151,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
     def validate(self) -> "ExperimentConfig":
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown problem kind {self.kind!r}")
-        if self.kind == "coverage" and self.problem not in _COVERAGE_PROBLEMS:
-            raise ConfigError(f"coverage: unknown problem {self.problem!r} "
-                              f"(expected one of {', '.join(_COVERAGE_PROBLEMS)})")
+        runner = _resolve(self)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.n_draws < 1000:
@@ -181,12 +173,11 @@ class ExperimentConfig:
                                       f"got {value!r}")
         self.budget()
         # Every mean profile the run will build, checked before any cell runs.
-        kind = self.problem if self.kind == "coverage" else self.kind
-        if kind in ("winner", "filedrawer"):
+        if runner in (run_winner, run_filedrawer):
             for theta, C, m in itertools.product(self.theta_grid, self.c_grid,
                                                  self.m_grid):
                 generate_mu_reference_scaled(int(m), float(theta), float(C))
-        elif kind == "winner-np" and self.data is None:
+        elif runner is run_winner_np:
             for theta in self.theta_grid:
                 generate_mu(self.m, float(theta), 1.0)
         return self
@@ -593,31 +584,26 @@ def run_winner_np(config: ExperimentConfig):
 
 def _run_np_on_data(config: ExperimentConfig):
     """User-data mode: one nonparametric analysis of a CSV of observations."""
-    if config.data is None:
-        raise ConfigError(f"{config.kind} requires data = <csv of samples>")
     with open(config.data) as fh:
         lines = fh.readlines()
     # loadtxt only warns on a file without data rows; say so plainly.
     if not any(line.split("#", 1)[0].strip() for line in lines):
         raise ConfigError(f"{config.data} contains no data")
-    raw = np.loadtxt(lines, delimiter=",", ndmin=2)
-    samples = SampleMatrix(raw)
+    samples = SampleMatrix(np.loadtxt(lines, delimiter=",", ndmin=2))
     budget = config.budget()
     t0 = time.perf_counter()
     if config.kind == "winner-np":
         iv = np_winner_interval(samples, budget, config.bound_kind, config.ci_kind)
-        scenario = "winner-np:data"
     else:
         iv = np_filedrawer_region(samples, config.threshold, budget,
                                   config.bound_kind, config.ci_kind)
-        scenario = "filedrawer-np:data"
     ms = int(1000 * (time.perf_counter() - t0))
+    row = ResultRow(f"{config.kind}:data", "local", param_m=samples.m, runtime_ms=ms)
     if iv.is_empty:
-        return [ResultRow(scenario, "local", param_m=samples.m, runtime_ms=ms)]
-    med = float(np.median(iv.widths))
-    return [ResultRow(scenario, "local", param_m=samples.m,
-                      median_width=med, q05_width=float(iv.widths.min()),
-                      q95_width=float(iv.widths.max()), runtime_ms=ms)]
+        return [row]
+    w = iv.widths
+    return [replace(row, median_width=float(np.median(w)), q05_width=float(w.min()),
+                    q95_width=float(w.max()))]
 
 
 # ---------------------------------------------------------------------------
@@ -649,12 +635,10 @@ def run_lasso(config: ExperimentConfig):
     s_nu = 2.0 * column_max_quantile(design, config.sigma, budget.nu,
                                      RngSpec(config.seed, 4001), config.n_draws)
     t0 = time.perf_counter()
-    widths, covered, capped_count = [], [], 0
+    widths, covered = [], []
     for trial in range(config.trials):
         y = mu + config.sigma * gen.standard_normal(config.n)
-        models, frontier = enumerate_plausible_models(design, y, lam, s_nu,
-                                                      p_max=config.p_max)
-        capped_count += frontier.capped
+        models, _ = enumerate_plausible_models(design, y, lam, s_nu, p_max=config.p_max)
         _, pair = lasso_solve(design, y, lam)
         if not pair.M:
             covered.append(True)
@@ -678,15 +662,6 @@ def run_lasso(config: ExperimentConfig):
 
 def run_erm(config: ExperimentConfig):
     budget = config.budget()
-    if config.data is not None:
-        lm = load_loss_matrix(config.data)
-        t0 = time.perf_counter()
-        res = erm_risk_bound(lm, budget, RngSpec(config.seed, 5000), 2000)
-        ms = int(1000 * (time.perf_counter() - t0))
-        slack = res.bound - res.erm_risk
-        return [ResultRow("erm:data", "local", param_m=lm.n_hypotheses,
-                          median_width=slack, q05_width=slack, q95_width=slack,
-                          runtime_ms=ms)]
     n, F = config.n, config.n_hypotheses
     means = np.linspace(0.1, 0.9, F)
     gen = RngSpec(config.seed, 5001).generator()
@@ -701,6 +676,16 @@ def run_erm(config: ExperimentConfig):
         slacks.append(res.bound - res.erm_risk)
     ms = int(1000 * (time.perf_counter() - t0))
     return [_width_row("erm", "local", slacks, holds, ms, param_m=F)]
+
+
+def _run_erm_on_data(config: ExperimentConfig):
+    """User-data mode: the ERM risk bound on a CSV loss matrix."""
+    lm = load_loss_matrix(config.data)
+    t0 = time.perf_counter()
+    res = erm_risk_bound(lm, config.budget(), RngSpec(config.seed, 5000), 2000)
+    ms = int(1000 * (time.perf_counter() - t0))
+    return [_width_row("erm:data", "local", [res.bound - res.erm_risk], None, ms,
+                       param_m=lm.n_hypotheses)]
 
 
 # ---------------------------------------------------------------------------
@@ -741,34 +726,44 @@ def run_sphere(config: ExperimentConfig):
 # Dispatch
 # ---------------------------------------------------------------------------
 
+# kind -> (simulation runner, user-data runner); a ``data`` file selects the
+# latter.  "coverage" simulates: the user-data analyses have no truth to cover.
 _RUNNERS = {
-    "figure1": run_figure1,
-    "winner": run_winner,
-    "filedrawer": run_filedrawer,
-    "winner-np": run_winner_np,
-    "filedrawer-np": _run_np_on_data,
-    "lasso": run_lasso,
-    "erm": run_erm,
-    "sphere": run_sphere,
+    "figure1": (run_figure1, None),
+    "winner": (run_winner, None),
+    "filedrawer": (run_filedrawer, None),
+    "winner-np": (run_winner_np, _run_np_on_data),
+    "filedrawer-np": (None, _run_np_on_data),
+    "lasso": (run_lasso, None),
+    "erm": (run_erm, _run_erm_on_data),
+    "sphere": (run_sphere, None),
 }
+KINDS = (*_RUNNERS, "coverage")
+DATA_KINDS = tuple(kind for kind, (_, on_data) in _RUNNERS.items() if on_data)
 
 
-# Every simulation study estimates coverage; the user-data scenario has no
-# truth to cover.
-_COVERAGE_PROBLEMS = tuple(k for k in _RUNNERS if k != "filedrawer-np")
+def _resolve(config: ExperimentConfig):
+    """The runner that serves ``config``; ConfigError when none does."""
+    coverage = config.kind == "coverage"
+    kind = config.problem if coverage else config.kind
+    simulate, on_data = _RUNNERS.get(kind, (None, None))
+    on_data = None if coverage else on_data
+    if simulate is None and on_data is None:
+        what = "coverage problem" if coverage else "problem kind"
+        raise ConfigError(f"unknown {what} {kind!r}")
+    if config.data is None and simulate is None:
+        raise ConfigError(f"{kind} requires data = <csv file>")
+    if config.data is not None and on_data is None:
+        raise ConfigError(f"{config.kind} reads no data file")
+    return simulate if config.data is None else on_data
 
 
 def run_experiment(config: ExperimentConfig):
-    """Run the configured scenario and return its ResultRows (writing the
-    CSV when config.out is set).  Kind "coverage" runs config.problem's
-    runner, whose rows already carry a per-method coverage estimate."""
-    config.validate()
-    if config.kind == "coverage":
-        rows = _RUNNERS[config.problem](replace(config, kind=config.problem))
-    elif config.kind == "winner-np" and config.data is not None:
-        rows = _run_np_on_data(config)
-    else:
-        rows = _RUNNERS[config.kind](config)
+    """Run the configured scenario; return its ResultRows, also written to
+    config.out when set.  "coverage" runs config.problem's simulation.  A
+    ``data`` file selects the user-data analysis of winner-np, filedrawer-np
+    or erm (filedrawer-np requires one); coverage and every other kind reject it."""
+    rows = _resolve(config.validate())(config)
     if config.out:
         write_csv(rows, config.out)
     return rows

@@ -4,6 +4,7 @@ nonparametric concentration widths.
 Every quantile estimated by simulation uses the conservative order-statistic
 rule: with N draws and target level 1-alpha, the reported quantile is the
 order statistic of rank ceil((1-alpha)*(N+1)), which biases coverage upward.
+In floating point the rank is the decimal formula's or one above, never below.
 """
 
 from __future__ import annotations
@@ -186,7 +187,12 @@ def max_abs_quantile_iid(m: int, alpha: float, sigma: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 def conservative_rank(alpha: float, n: int) -> int:
-    """1-based order-statistic rank ceil((1-alpha)*(n+1)), clipped to [1, n]."""
+    """1-based order-statistic rank ceil((1-alpha)*(n+1)), clipped to [1, n].
+
+    The product is taken in floating point on the binary alpha: where the
+    decimal product is whole, the rank can be one above it, never below
+    (conservative_rank(0.95, 19) is 2, not ceil(0.05 * 20) = 1).
+    """
     r = math.ceil((1.0 - alpha) * (n + 1))
     return min(max(r, 1), n)
 
@@ -205,9 +211,8 @@ def _batch_se(stats: np.ndarray, alpha: float, n_batches: int) -> float:
     size = n // b
     if size < 2 or b < 2:
         return float("nan")
-    qs = np.empty(b)
-    for i in range(b):
-        qs[i] = conservative_quantile(stats[i * size:(i + 1) * size], alpha)
+    rank = conservative_rank(alpha, size)
+    qs = np.partition(stats[:b * size].reshape(b, size), rank - 1, axis=1)[:, rank - 1]
     return float(qs.std(ddof=1) / math.sqrt(b))
 
 
@@ -236,7 +241,7 @@ def max_stat_quantile_mc(noise: GaussianNoise, subset, alpha: float,
     (see ``GaussianNoise``), with the same draws and the same bits as the
     product with its factor.
     """
-    idx = np.asarray(sorted(set(int(i) for i in np.asarray(subset, dtype=int).ravel())))
+    idx = np.unique(np.asarray(subset, dtype=int))
     if idx.size == 0:
         raise ValueError("subset must be nonempty")
     if idx.min() < 0 or idx.max() >= noise.dimension:
@@ -323,9 +328,7 @@ def bentkus_width(n: int, alpha: float) -> float:
     target = alpha / 2.0
     if _bentkus_one_sided_tail(n, 0.5) > target:
         return 0.5
-    lo, hi = 0.0, 0.5
-    if _bentkus_one_sided_tail(n, lo) <= target:
-        raise RuntimeError("Bentkus bisection failed to bracket")  # unreachable for alpha < 1
+    lo, hi = 0.0, 0.5  # the tail at 0 is 1: P(Bin(n, 1/2) <= ceil(n/2)) >= 1/2
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
         if _bentkus_one_sided_tail(n, mid) <= target:

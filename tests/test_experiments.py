@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import locsim.experiments as experiments_mod
+from locsim import cli
 from locsim.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -312,6 +313,78 @@ class TestRunners:
     def test_missing_data_is_config_error(self):
         with pytest.raises(ConfigError):
             run_experiment(ExperimentConfig(kind="filedrawer-np"))
+
+
+class TestDataRouting:
+    """A ``data`` file reaches only the user-data runners of winner-np,
+    filedrawer-np and erm.  Every other combination is a configuration error
+    (exit 2) raised before any runner starts."""
+
+    @pytest.fixture
+    def no_runner(self, monkeypatch):
+        # Every runner reads the clock when it starts its first cell.
+        class Clock:
+            @staticmethod
+            def perf_counter():
+                raise AssertionError("a runner started")
+
+        monkeypatch.setattr(experiments_mod, "time", Clock)
+
+    @staticmethod
+    def _main(tmp_path, text, *argv):
+        # Only a config file sets ``data`` for these kinds.
+        cfg = tmp_path / "cfg"
+        cfg.write_text(text)
+        return cli.main([*argv, "--config", str(cfg), "--trials", "100"])
+
+    @pytest.fixture
+    def data_line(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        np.savetxt(path, np.random.default_rng(0).beta(2, 5, size=(40, 3)), delimiter=",")
+        return f"data = {path}\n"
+
+    def test_coverage_erm_rejects_data(self, tmp_path, data_line, no_runner):
+        assert self._main(tmp_path, data_line, "coverage", "--problem", "erm") == 2
+
+    def test_coverage_winner_np_rejects_data(self, tmp_path, data_line, no_runner):
+        assert self._main(tmp_path, data_line, "coverage", "--problem", "winner-np") == 2
+
+    def test_coverage_with_data_checks_profiles_first(self, tmp_path, data_line,
+                                                      no_runner, monkeypatch):
+        def cell(*args):
+            raise AssertionError("a winner-np cell ran")
+
+        monkeypatch.setattr(experiments_mod, "_np_winner_cell", cell)
+        text = data_line + "theta_grid = 2, 4, 0\n"
+        assert self._main(tmp_path, text, "coverage", "--problem", "winner-np") == 2
+
+    @pytest.mark.parametrize("kind", ["figure1", "winner", "filedrawer", "lasso", "sphere"])
+    def test_simulation_only_kinds_reject_data(self, tmp_path, data_line, no_runner, kind):
+        assert self._main(tmp_path, data_line, kind) == 2
+        with pytest.raises(ConfigError):
+            ExperimentConfig(kind=kind, data="obs.csv").validate()
+
+    def test_kept_routes(self):
+        for bad in ({"kind": "filedrawer-np"},
+                    {"kind": "coverage", "problem": "filedrawer-np"},
+                    {"kind": "coverage", "problem": "filedrawer-np", "data": "obs.csv"},
+                    {"kind": "coverage", "problem": "erm", "data": "losses.csv"}):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(**bad).validate()
+        routes = {("winner-np", None): experiments_mod.run_winner_np,
+                  ("winner-np", "x.csv"): experiments_mod._run_np_on_data,
+                  ("filedrawer-np", "x.csv"): experiments_mod._run_np_on_data,
+                  ("erm", None): experiments_mod.run_erm,
+                  ("erm", "x.csv"): experiments_mod._run_erm_on_data}
+        for (kind, data), runner in routes.items():
+            assert experiments_mod._resolve(ExperimentConfig(kind=kind, data=data)) is runner
+        assert experiments_mod._resolve(
+            ExperimentConfig(kind="coverage", problem="erm")) is experiments_mod.run_erm
+
+    def test_coverage_erm_without_data_simulates(self):
+        rows = run_experiment(ExperimentConfig(kind="coverage", problem="erm", trials=3,
+                                               n=50, n_hypotheses=5))
+        assert [r.scenario for r in rows] == ["erm"] and rows[0].coverage is not None
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +14,12 @@ from locsim.stats_core import (
     CovarianceError,
     GaussianNoise,
     RngSpec,
+    _batch_se,
+    _bentkus_one_sided_tail,
     bentkus_width,
     betting_ci,
+    conservative_quantile,
+    conservative_rank,
     contrast_quantile_mc,
     hoeffding_width,
     max_abs_quantile_iid,
@@ -80,6 +85,30 @@ class TestMaxAbsQuantileIid:
             max_abs_quantile_iid(3, 0.0)
 
 
+class TestConservativeRank:
+    ALPHAS = [k / 1000 for k in range(1, 1000)] + [0.0001, 0.0025, 0.005, 0.045, 0.09]
+    SIZES = [*range(1, 201), 999, 1000, 9999, 10_000, 99_999, 100_000]
+
+    @staticmethod
+    def decimal_rank(alpha, n):
+        """ceil((1 - alpha) * (n + 1)) in exact arithmetic on the decimal alpha,
+        clipped to [1, n]."""
+        return min(max(math.ceil((1 - Fraction(str(alpha))) * (n + 1)), 1), n)
+
+    def test_decimal_rank_or_one_above(self):
+        above = 0
+        for alpha in self.ALPHAS:
+            for n in self.SIZES:
+                exact, rank = self.decimal_rank(alpha, n), conservative_rank(alpha, n)
+                assert exact <= rank <= exact + 1, (alpha, n)
+                above += rank > exact
+        assert above > 0  # floating point does round some whole products up
+
+    def test_whole_product_can_round_up(self):
+        assert self.decimal_rank(0.95, 19) == 1
+        assert conservative_rank(0.95, 19) == 2
+
+
 class TestMaxStatQuantileMC:
     def test_iid_pair_matches_closed_form(self):
         noise = GaussianNoise(np.eye(2))
@@ -117,6 +146,20 @@ class TestMaxStatQuantileMC:
         q_small = max_stat_quantile_mc(noise, [0, 1], 0.1, RngSpec(4), 20_000).value
         q_large = max_stat_quantile_mc(noise, range(4), 0.1, RngSpec(4), 20_000).value
         assert q_small <= q_large
+
+    def test_batch_se_matches_per_batch_quantiles(self):
+        gen = np.random.default_rng(11)
+        for _ in range(200):
+            n, alpha = int(gen.integers(2, 5000)), float(gen.uniform(0.001, 0.999))
+            stats = gen.standard_normal(n)
+            b = min(20, n)
+            size = n // b
+            if size < 2:
+                assert math.isnan(_batch_se(stats, alpha, 20))
+                continue
+            qs = np.array([conservative_quantile(stats[i * size:(i + 1) * size], alpha)
+                           for i in range(b)])
+            assert _batch_se(stats, alpha, 20) == float(qs.std(ddof=1) / math.sqrt(b))
 
     def test_preconditions(self):
         noise = GaussianNoise(np.eye(2))
@@ -218,6 +261,11 @@ class TestBentkusWidth:
     def test_bounded(self, n, alpha):
         w = bentkus_width(n, alpha)
         assert 0.0 < w <= 0.5
+
+    def test_bisection_is_bracketed(self):
+        # P(Bin(n, 1/2) <= ceil(n/2)) >= 1/2, so e times it caps at 1 > alpha/2.
+        for n in [*range(1, 301), 999, 1000, 10_000]:
+            assert _bentkus_one_sided_tail(n, 0.0) == 1.0, n
 
     def test_comparable_to_hoeffding(self):
         assert bentkus_width(100, 0.1) <= hoeffding_width(100, 0.1) * 1.3
