@@ -25,7 +25,7 @@ print("||y||   cap angle (deg)   half-width")
 for norm in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 50.0, 100.0):
     y = np.r_[norm, np.zeros(d - 1)]
     prob = SphereProblem(y, budget)
-    delta = cap_angle(prob, RngSpec(52), 50_000).delta
+    delta = cap_angle(prob, RngSpec(52), 50_000)
     lo, hi = sphere_interval(prob, RngSpec(52), 50_000)
     print(f"{norm:5.1f}   {math.degrees(delta):15.1f}   {(hi - lo) / 2:10.3f}")
 

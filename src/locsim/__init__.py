@@ -60,7 +60,6 @@ from .erm import (
 )
 from .sphere import (
     SphereProblem,
-    CapAngle,
     mu_norm_lower_bound,
     s_tau,
     cap_quantile,

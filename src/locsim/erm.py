@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats_core import RngSpec, _chunk_sizes
+from .stats_core import RngSpec, _draw_stats
 from .theory_core import BudgetSplit
 
 __all__ = [
@@ -27,12 +27,15 @@ __all__ = [
 
 
 class LossMatrix:
-    """n x |F| per-sample losses with entries in [-1, 1]."""
+    """n x |F| per-sample losses with entries in [-1, 1], n and |F| >= 1."""
 
     def __init__(self, losses, labels=None):
         losses = np.asarray(losses, dtype=float)
         if losses.ndim != 2:
             raise ValueError("loss matrix must be two-dimensional")
+        for axis, what in enumerate(("samples", "hypotheses")):
+            if losses.shape[axis] == 0:
+                raise ValueError(f"loss matrix has no {what}")
         if not np.all(np.isfinite(losses)) or np.abs(losses).max(initial=0.0) > 1.0:
             raise ValueError("losses must lie in [-1, 1]")
         if labels is None:
@@ -98,17 +101,17 @@ def rademacher_mc(losses, rng: RngSpec, n_draws: int = 2000) -> float:
     bound at the simulation confidence.
     """
     mat = losses.losses if isinstance(losses, LossMatrix) else np.asarray(losses, dtype=float)
-    if mat.ndim != 2 or mat.shape[1] == 0:
-        raise ValueError("need a nonempty hypothesis subset")
-    n = mat.shape[0]
+    if mat.ndim != 2 or 0 in mat.shape or n_draws < 2:
+        raise ValueError("need samples, a nonempty hypothesis subset and n_draws >= 2")
+    n, F = mat.shape
     gen = rng.generator()
-    sups = np.empty(n_draws)
-    pos = 0
-    for take in _chunk_sizes(n_draws, mat.size, 2_000_000):
+
+    def draw(take):
         signs = gen.integers(0, 2, size=(take, n)) * 2.0 - 1.0
-        sups[pos:pos + take] = np.abs(signs @ mat).max(axis=1) / n
-        pos += take
-    stats = 2.0 * sups
+        return np.abs(signs @ mat).max(axis=1) / n
+
+    # A row holds its n signs and its F products.
+    stats = 2.0 * _draw_stats(n_draws, n + F, draw)
     return float(stats.mean() + 3.0 * stats.std(ddof=1) / math.sqrt(n_draws))
 
 

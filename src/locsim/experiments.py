@@ -180,6 +180,12 @@ class ExperimentConfig:
         elif runner is run_winner_np:
             for theta in self.theta_grid:
                 generate_mu(self.m, float(theta), 1.0)
+        elif runner is run_lasso and not (self.d >= 1 and 0.0 <= self.sparsity <= 1.0):
+            raise ConfigError("lasso needs d >= 1 and sparsity in [0, 1], "
+                              f"got d = {self.d!r}, sparsity = {self.sparsity!r}")
+        elif self.kind == "filedrawer-np" and not 0.0 <= self.threshold <= 1.0:
+            raise ConfigError("filedrawer-np needs --threshold in [0, 1], "
+                              f"got {self.threshold!r}")
         return self
 
 

@@ -21,7 +21,6 @@ from .theory_core import BudgetSplit
 
 __all__ = [
     "SphereProblem",
-    "CapAngle",
     "mu_norm_lower_bound",
     "s_tau",
     "cap_quantile",
@@ -45,17 +44,6 @@ class SphereProblem:
     @property
     def d(self) -> int:
         return int(self.y.size)
-
-
-@dataclass(frozen=True)
-class CapAngle:
-    """Half-angle of a spherical cap, in radians within [0, pi]."""
-
-    delta: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.delta <= math.pi):
-            raise ValueError("delta must lie in [0, pi]")
 
 
 def mu_norm_lower_bound(y_norm_sq: float, d: int, tau: float, rng: RngSpec,
@@ -124,7 +112,7 @@ def s_tau(c: float, d: int, tau: float, rng: RngSpec,
     return math.copysign(math.sqrt(1.0 / ((d - 1) / q**2 + 1.0)), q)
 
 
-def cap_quantile(delta, d: int, alpha: float, rng: RngSpec,
+def cap_quantile(delta: float, d: int, alpha: float, rng: RngSpec,
                  n_draws: int = DEFAULT_DRAWS) -> float:
     """1-alpha quantile of sup |gamma^T Z| over the cap of half-angle delta
     around a fixed axis, Z ~ N(0, I_d).
@@ -133,8 +121,6 @@ def cap_quantile(delta, d: int, alpha: float, rng: RngSpec,
     inside the cap, otherwise the boundary value Z_axis cos(delta) +
     ||Z_perp|| sin(delta).  Conservative rank quantile.
     """
-    if isinstance(delta, CapAngle):
-        delta = delta.delta
     if not (0.0 <= delta <= math.pi):
         raise ValueError("delta must lie in [0, pi]")
     if d < 2:
@@ -154,15 +140,15 @@ def cap_quantile(delta, d: int, alpha: float, rng: RngSpec,
 
 
 def cap_angle(problem: SphereProblem, rng: RngSpec,
-              n_draws: int = DEFAULT_DRAWS) -> CapAngle:
-    """Data-dependent cap half-angle 2 arccos of the cosine bound, with the
-    screening budget split evenly between the norm bound and the cosine."""
+              n_draws: int = DEFAULT_DRAWS) -> float:
+    """Data-dependent cap half-angle in radians: 2 arccos of the cosine bound,
+    with the screening budget split evenly between the norm bound and the cosine."""
     nu = problem.budget.nu
     y_norm_sq = float(problem.y @ problem.y)
     mu_lb = mu_norm_lower_bound(y_norm_sq, problem.d, nu / 2.0, rng.child(0), n_draws)
     s = s_tau(mu_lb, problem.d, nu / 2.0, rng.child(1), n_draws)
     delta = 2.0 * math.acos(min(max(s, -1.0), 1.0))
-    return CapAngle(min(delta, math.pi))
+    return min(delta, math.pi)
 
 
 def sphere_interval(problem: SphereProblem, rng: RngSpec,

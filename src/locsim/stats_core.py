@@ -45,6 +45,8 @@ _BETTING_GRID_STEP = 1e-3
 # a block's end, so the block trades per-block overhead against capital
 # computed past the drop.
 _BETTING_BLOCK = 32
+# Floats held at once by one chunk of Monte-Carlo draws (32 MB of float64).
+_CHUNK_FLOATS = 4_000_000
 
 
 class CovarianceError(ValueError):
@@ -222,13 +224,18 @@ def _mc_quantile_estimate(stats: np.ndarray, alpha: float, n_draws: int) -> Quan
     return QuantileEstimate(q, alpha, n_draws, se)
 
 
-def _chunk_sizes(n_draws: int, width: int, budget: int = 4_000_000):
-    rows = max(1, budget // max(width, 1))
-    done = 0
-    while done < n_draws:
-        take = min(rows, n_draws - done)
-        yield take
-        done += take
+def _draw_stats(n_draws: int, row_floats: int, draw) -> np.ndarray:
+    """``n_draws`` Monte-Carlo statistics from ``draw(take)``, which returns
+    the next ``take``, in chunks of as many rows as fit ``_CHUNK_FLOATS`` at
+    ``row_floats`` floats a row (at least one).  Chunking cannot change the
+    draws: each caller's generator fills in order and each statistic reads
+    only its own row.  A BLAS product may still move a statistic's last bits
+    with the row count, since it may block its sums differently; exact sums
+    (0/1 losses, diagonal noise) do not.
+    """
+    rows = max(1, _CHUNK_FLOATS // row_floats)
+    return np.concatenate([draw(min(rows, n_draws - start))
+                           for start in range(0, n_draws, rows)])
 
 
 def max_stat_quantile_mc(noise: GaussianNoise, subset, alpha: float,
@@ -253,15 +260,14 @@ def max_stat_quantile_mc(noise: GaussianNoise, subset, alpha: float,
     sub = noise if idx.size == noise.dimension else noise.restrict(idx)
     scales = sub.marginal_scales
     gen = rng.generator()
-    stats = np.empty(n_draws)
-    pos = 0
-    for take in _chunk_sizes(n_draws, idx.size):
+
+    def draw(take):
         z = sub.sample(gen, take)
         np.abs(z, out=z)
         z /= scales
-        stats[pos:pos + take] = np.max(z, axis=1)
-        pos += take
-    return _mc_quantile_estimate(stats, alpha, n_draws)
+        return np.max(z, axis=1)
+
+    return _mc_quantile_estimate(_draw_stats(n_draws, idx.size, draw), alpha, n_draws)
 
 
 def contrast_quantile_mc(contrasts, noise_scale: float, alpha: float,
@@ -280,13 +286,12 @@ def contrast_quantile_mc(contrasts, noise_scale: float, alpha: float,
         raise ValueError("n_draws must be at least 1000")
     k, n = v.shape
     gen = rng.generator()
-    stats = np.empty(n_draws)
-    pos = 0
-    for take in _chunk_sizes(n_draws, n + k):
+
+    def draw(take):
         z = noise_scale * gen.standard_normal((take, n))
-        stats[pos:pos + take] = np.max(np.abs(z @ v.T), axis=1)
-        pos += take
-    return _mc_quantile_estimate(stats, alpha, n_draws)
+        return np.max(np.abs(z @ v.T), axis=1)
+
+    return _mc_quantile_estimate(_draw_stats(n_draws, n + k, draw), alpha, n_draws)
 
 
 # ---------------------------------------------------------------------------

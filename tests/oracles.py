@@ -38,7 +38,7 @@ from locsim.stats_core import (
     _BET_TRUNCATION,
     _BETTING_GRID_STEP,
     _betting_lambdas,
-    _chunk_sizes,
+    _draw_stats,
     _mc_quantile_estimate,
 )
 
@@ -279,13 +279,12 @@ def max_stat_quantile_mc_dense(noise, subset, alpha, rng, n_draws):
     idx = np.asarray(sorted(set(int(i) for i in np.asarray(subset, dtype=int).ravel())))
     sub = noise.restrict(idx)
     gen = rng.generator()
-    stats = np.empty(n_draws)
-    pos = 0
-    for take in _chunk_sizes(n_draws, idx.size):
+
+    def draw(take):
         z = gen.standard_normal((take, idx.size)) @ sub.factor.T
-        stats[pos:pos + take] = np.max(np.abs(z) / sub.marginal_scales, axis=1)
-        pos += take
-    return _mc_quantile_estimate(stats, alpha, n_draws)
+        return np.max(np.abs(z) / sub.marginal_scales, axis=1)
+
+    return _mc_quantile_estimate(_draw_stats(n_draws, idx.size, draw), alpha, n_draws)
 
 
 _LP_TOL = 1e-9

@@ -17,7 +17,11 @@ NP_KINDS = st.sampled_from(["winner-np", "filedrawer-np"])
 
 def _exit_code(kind, *args, data=None, config=None):
     """cli.main's exit code for ``kind``, with ``data`` (an array, or the
-    text of a CSV) and ``config`` written to temporary files."""
+    text of a CSV) and ``config`` written to temporary files.  filedrawer-np
+    gets ``--threshold 0`` unless ``args`` set one: every [0, 1]-bounded
+    mean is >= 0, so every column is selected."""
+    if kind == "filedrawer-np" and "--threshold" not in args:
+        args = (*args, "--threshold", "0")
     with tempfile.TemporaryDirectory() as tmp:
         argv = [kind, *args, "--out", os.path.join(tmp, "out.csv")]
         if data is not None:
@@ -98,6 +102,12 @@ def test_nonfinite_or_out_of_range_losses(bad, row):
     losses[row, 1] = bad
     text = "h0,h1,h2\n" + "\n".join(",".join(repr(float(v)) for v in r) for r in losses)
     assert _exit_code("erm", data=text + "\n") in (0, 2)
+
+
+@pytest.mark.parametrize("key, axis", [("n", "samples"), ("n_hypotheses", "hypotheses")])
+def test_empty_loss_matrix(key, axis, capsys):
+    assert _exit_code("erm", "--trials", "2", config=f"{key} = 0\n") == 2
+    assert f"loss matrix has no {axis}" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error")

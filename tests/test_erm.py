@@ -30,6 +30,11 @@ class TestLossMatrix:
         lm = LossMatrix(np.zeros((3, 2)))
         assert lm.labels == ("f0", "f1")
 
+    @pytest.mark.parametrize("shape, axis", [((0, 3), "samples"), ((3, 0), "hypotheses")])
+    def test_empty_axis_rejected(self, shape, axis):
+        with pytest.raises(ValueError, match=f"no {axis}"):
+            LossMatrix(np.zeros(shape))
+
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "losses.csv"
         path.write_text("good,bad\n0.0,1.0\n0.5,0.5\n1.0,0.0\n")
@@ -70,9 +75,30 @@ class TestRademacherMC:
         b = rademacher_mc(LossMatrix(doubled), RngSpec(6), 5000)
         assert a == b
 
+    def test_chunk_invariant(self, chunked_both_ways):
+        # Signs times 0/1 losses sum exactly whatever the BLAS blocking.
+        mat = (np.random.default_rng(11).random((60, 7)) < 0.3).astype(float)
+        one_row, one_chunk = chunked_both_ways(lambda: rademacher_mc(mat, RngSpec(12), 2000))
+        assert one_row == one_chunk
+
+    def test_row_width_is_signs_plus_products(self, monkeypatch):
+        # 5000 x 500 is 2.5e6 entries; a row of draws is 5500 floats, so all
+        # 50 draws fit one chunk.
+        takes = []
+        real = erm_mod._draw_stats
+
+        def spy(n_draws, row_floats, draw):
+            return real(n_draws, row_floats, lambda take: takes.append(take) or draw(take))
+
+        monkeypatch.setattr(erm_mod, "_draw_stats", spy)
+        rademacher_mc(np.zeros((5000, 500)), RngSpec(13), 50)
+        assert takes == [50]
+
     def test_empty_subset_rejected(self):
-        with pytest.raises(ValueError):
-            rademacher_mc(np.zeros((10, 0)), RngSpec(0), 100)
+        for mat, n_draws in ((np.zeros((10, 0)), 100), (np.zeros((0, 3)), 100),
+                             (np.zeros((10, 3)), 1)):
+            with pytest.raises(ValueError):
+                rademacher_mc(mat, RngSpec(0), n_draws)
 
 
 class TestPlausibleHypotheses:

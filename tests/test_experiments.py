@@ -180,9 +180,20 @@ class TestConfigFile:
                     {"kind": "filedrawer", "c_grid": (10, -5)},
                     {"kind": "winner", "theta_grid": (300,), "m_grid": (100,)},
                     {"kind": "coverage", "problem": "filedrawer", "c_grid": (10, -5)},
-                    {"kind": "winner-np", "theta_grid": (2.0, -1.0)}):
+                    {"kind": "winner-np", "theta_grid": (2.0, -1.0)},
+                    {"kind": "lasso", "d": 0},
+                    {"kind": "lasso", "sparsity": 2.0},
+                    {"kind": "lasso", "sparsity": -1.0},
+                    {"kind": "coverage", "problem": "lasso", "sparsity": 2.0},
+                    {"kind": "filedrawer-np", "data": "obs.csv"},
+                    {"kind": "filedrawer-np", "data": "obs.csv", "threshold": 1.5}):
             with pytest.raises(ConfigError):
                 ExperimentConfig(**bad).validate()
+        for edge in ({"kind": "lasso", "d": 1, "sparsity": 0.0},
+                     {"kind": "lasso", "sparsity": 1.0},
+                     {"kind": "filedrawer-np", "data": "obs.csv", "threshold": 0.0},
+                     {"kind": "filedrawer-np", "data": "obs.csv", "threshold": 1.0}):
+            ExperimentConfig(**edge).validate()
         with pytest.raises(ConfigError):
             run_coverage(ExperimentConfig(kind="coverage", problem="winner", trials=0))
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from locsim.sphere import (
-    CapAngle,
     SphereProblem,
     cap_angle,
     cap_quantile,
@@ -109,7 +108,7 @@ class TestCapQuantile:
         with pytest.raises(ValueError):
             cap_quantile(-0.1, 4, 0.1, RngSpec(0), 2000)
         with pytest.raises(ValueError):
-            CapAngle(4.0)
+            cap_quantile(4.0, 4, 0.1, RngSpec(0), 2000)
 
 
 class TestSphereInterval:
@@ -144,7 +143,7 @@ class TestSphereInterval:
         deltas = []
         for norm in (0.5, 2.0, 5.0, 20.0, 100.0):
             prob = SphereProblem(np.r_[norm, np.zeros(d - 1)], BUDGET)
-            deltas.append(cap_angle(prob, RngSpec(19), 20_000).delta)
+            deltas.append(cap_angle(prob, RngSpec(19), 20_000))
         assert deltas == sorted(deltas, reverse=True)
 
     def test_coverage_quick(self):

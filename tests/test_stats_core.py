@@ -205,6 +205,15 @@ class TestMaxStatMatchesDenseOracle:
         self._check(_COVARIANCES[kind](1000), subset, 10_000, 12)
 
 
+@pytest.mark.parametrize("kind", ["iid", "hetero"])
+def test_max_stat_chunk_invariant(chunked_both_ways, kind):
+    # Diagonal noise is scaled elementwise, so no sum depends on the chunk.
+    noise = GaussianNoise(_COVARIANCES[kind](20))
+    one_row, one_chunk = chunked_both_ways(
+        lambda: max_stat_quantile_mc(noise, range(20), 0.1, RngSpec(21), 2000))
+    assert one_row == one_chunk
+
+
 class TestContrastQuantileMC:
     def test_single_contrast(self):
         v = np.array([[1.0, 0.0, 0.0]])
