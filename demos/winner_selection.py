@@ -23,7 +23,7 @@ y = mu + noise.sample(np.random.default_rng(3), 1)[0]
 
 # What the screening step sees.
 margin = _screening_margin_quantile(noise, budget.nu, rng.child(0), 50_000)
-plausible = plausible_winner_set(y, margin, budget.nu)
+plausible = plausible_winner_set(y, margin)
 print(f"{m} candidates, winner at index {plausible.realized[0]}, "
       f"screening margin 4q = {plausible.margin:.3f}")
 print(f"plausible candidates: {plausible.size} of {m} -> {plausible.indices.tolist()}")

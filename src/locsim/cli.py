@@ -71,7 +71,7 @@ def config_from_args(args) -> ExperimentConfig:
             overrides[key] = value
     if overrides:
         cfg = replace(cfg, **overrides)
-    return apply_env_seed(cfg).validate()
+    return apply_env_seed(cfg)
 
 
 def _print_summary(rows, out) -> None:

@@ -100,9 +100,9 @@ def rademacher_mc(losses, rng: RngSpec, n_draws: int = 2000) -> float:
     and adds 3 MC standard errors, so the reported value stays an upper
     bound at the simulation confidence.
     """
-    mat = losses.losses if isinstance(losses, LossMatrix) else np.asarray(losses, dtype=float)
-    if mat.ndim != 2 or 0 in mat.shape or n_draws < 2:
-        raise ValueError("need samples, a nonempty hypothesis subset and n_draws >= 2")
+    mat = (losses if isinstance(losses, LossMatrix) else LossMatrix(losses)).losses
+    if n_draws < 2:
+        raise ValueError("n_draws must be at least 2")
     n, F = mat.shape
     gen = rng.generator()
 

@@ -152,12 +152,17 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         runner = _resolve(self)
+        if self.out is not None and (os.path.isdir(self.out)
+                                     or not os.path.isdir(os.path.dirname(self.out) or ".")):
+            raise ConfigError(f"out = {self.out!r} is a directory or has no directory")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.n_draws < 1000:
             raise ConfigError("n_draws must be >= 1000")
         if not self.phi > 0:
             raise ConfigError("phi must be positive")
+        if runner is run_filedrawer and not math.isfinite(self.threshold):
+            raise ConfigError(f"filedrawer needs a finite threshold, got {self.threshold!r}")
         for key, values, names in (("cov_kinds", self.cov_kinds, _CELL_NOISE),
                                    ("bound_kind", (self.bound_kind,), _WIDTH_FNS),
                                    ("ci_kind", (self.ci_kind,), _CI_FNS)):
@@ -183,6 +188,11 @@ class ExperimentConfig:
         elif runner is run_lasso and not (self.d >= 1 and 0.0 <= self.sparsity <= 1.0):
             raise ConfigError("lasso needs d >= 1 and sparsity in [0, 1], "
                               f"got d = {self.d!r}, sparsity = {self.sparsity!r}")
+        elif runner is run_figure1 and not all(isinstance(v, numbers.Real)
+                                               and math.isfinite(v) for v in self.delta_grid):
+            raise ConfigError(f"delta_grid entries must be finite, got {self.delta_grid!r}")
+        elif runner is run_sphere and any(d < 2 for d in self.d_grid):
+            raise ConfigError(f"sphere needs every d_grid entry >= 2, got {self.d_grid!r}")
         elif self.kind == "filedrawer-np" and not 0.0 <= self.threshold <= 1.0:
             raise ConfigError("filedrawer-np needs --threshold in [0, 1], "
                               f"got {self.threshold!r}")
@@ -561,7 +571,7 @@ def _np_winner_cell(config, budget, n, theta, gen):
     margin = _np_margin(n, config.m, budget, config.bound_kind)
     records = []
     for means, sd_pool, col, truth in _np_draws(config, n, theta, gen):
-        k = plausible_winner_set(means, margin, budget.nu).size
+        k = plausible_winner_set(means, margin).size
         lo, hi = ci(col, (budget.inference_level / k, budget.alpha / config.m,
                           budget.alpha))
         records.append((lo, hi, means, sd_pool, truth))

@@ -115,7 +115,6 @@ class Design:
             raise ValueError("design entries must be finite")
         self.X = X
         self.XtX = X.T @ X
-        self.column_norms = np.sqrt(np.diag(self.XtX))
         self._inverses = {}
         self._gram_factor = None
 

@@ -53,9 +53,10 @@ class PlausibleSet:
     indices: np.ndarray
     realized: np.ndarray
     margin: float
-    nu_used: float = float("nan")
 
     def __post_init__(self):
+        if not self.margin >= 0:
+            raise ValueError("the screening margin must be nonnegative")
         idx = np.asarray(self.indices, dtype=int)
         rea = np.asarray(self.realized, dtype=int)
         if not set(rea.tolist()) <= set(idx.tolist()):
@@ -113,6 +114,13 @@ class IntervalSet:
         return bool(np.all(np.abs(vals - self.centers) <= self.half_widths))
 
 
+def _finite_outcomes(y) -> np.ndarray:
+    y = np.asarray(y, dtype=float).ravel()
+    if y.size == 0 or not np.all(np.isfinite(y)):
+        raise ValueError("y must be a nonempty finite vector")
+    return y
+
+
 @dataclass(frozen=True)
 class WinnerProblem:
     y: np.ndarray
@@ -120,9 +128,7 @@ class WinnerProblem:
     budget: BudgetSplit
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).ravel()
-        if y.size == 0 or not np.all(np.isfinite(y)):
-            raise ValueError("y must be a nonempty finite vector")
+        y = _finite_outcomes(self.y)
         if y.size != self.noise.dimension:
             raise ValueError("y and noise dimensions disagree")
         object.__setattr__(self, "y", y)
@@ -181,31 +187,24 @@ def _filedrawer_mask(y, threshold, q_nu):
     return y >= threshold - _FILEDRAWER_SLACK * q_nu
 
 
-def plausible_winner_set(y, q_nu: float, nu: float = float("nan")) -> PlausibleSet:
+def plausible_winner_set(y, q_nu: float) -> PlausibleSet:
     """Candidates within 4*q_nu of the maximum.
 
     Always contains the argmax; ties at the maximum are all included and the
     realized selection is the lowest tied index.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size == 0:
-        raise ValueError("y must be nonempty")
-    if q_nu < 0:
-        raise ValueError("q_nu must be nonnegative")
+    y = _finite_outcomes(y)
     keep = np.flatnonzero(_winner_mask(y, q_nu))
-    return PlausibleSet(keep, np.array([int(np.argmax(y))]), _WINNER_SLACK * q_nu, nu)
+    return PlausibleSet(keep, np.array([int(np.argmax(y))]), _WINNER_SLACK * q_nu)
 
 
-def plausible_filedrawer_set(y, threshold: float, q_nu: float,
-                             nu: float = float("nan")) -> PlausibleSet:
+def plausible_filedrawer_set(y, threshold: float, q_nu: float) -> PlausibleSet:
     """Candidates with y >= T - 2*q_nu; superset of the realized selection
     {y >= T}."""
-    y = np.asarray(y, dtype=float).ravel()
-    if q_nu < 0:
-        raise ValueError("q_nu must be nonnegative")
+    y = _finite_outcomes(y)
     keep = np.flatnonzero(_filedrawer_mask(y, threshold, q_nu))
     realized = np.flatnonzero(y >= threshold)
-    return PlausibleSet(keep, realized, _FILEDRAWER_SLACK * q_nu, nu)
+    return PlausibleSet(keep, realized, _FILEDRAWER_SLACK * q_nu)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +224,18 @@ def _screening_margin_quantile(noise: GaussianNoise, nu: float, rng: RngSpec,
     return q_z.value * float(np.max(noise.marginal_scales))
 
 
+def _parametric_correct(problem, plausible: PlausibleSet, rng: RngSpec,
+                        n_draws: int) -> IntervalSet:
+    """Correction step of both parametric problems: y_i +- q * sigma_i for each
+    realized i, with q the max-z quantile over the plausible set at alpha - nu
+    (not drawn for an empty selection)."""
+    noise, budget, realized = problem.noise, problem.budget, plausible.realized
+    q = (max_stat_quantile_mc(noise, plausible.indices, budget.inference_level,
+                              rng.child(1), n_draws).value if realized.size else 0.0)
+    return IntervalSet(realized, problem.y[realized], q * noise.marginal_scales[realized],
+                       1.0 - budget.alpha)
+
+
 def winner_interval(problem: WinnerProblem, rng: RngSpec,
                     n_draws: int = DEFAULT_DRAWS) -> IntervalSet:
     """Locally simultaneous interval for the mean of the winning candidate.
@@ -232,31 +243,19 @@ def winner_interval(problem: WinnerProblem, rng: RngSpec,
     Screens at nu over all m candidates, then corrects at alpha - nu using
     the covariance restricted to the plausible set.
     """
-    y, noise, budget = problem.y, problem.noise, problem.budget
-    q_nu = _screening_margin_quantile(noise, budget.nu, rng.child(0), n_draws)
-    plausible = plausible_winner_set(y, q_nu, budget.nu)
-    winner = int(plausible.realized[0])
-    q_fin = max_stat_quantile_mc(noise, plausible.indices, budget.inference_level,
-                                 rng.child(1), n_draws)
-    half = q_fin.value * noise.marginal_scales[winner]
-    return IntervalSet(np.array([winner]), np.array([y[winner]]),
-                       np.array([half]), 1.0 - budget.alpha)
+    q_nu = _screening_margin_quantile(problem.noise, problem.budget.nu, rng.child(0),
+                                      n_draws)
+    return _parametric_correct(problem, plausible_winner_set(problem.y, q_nu), rng,
+                               n_draws)
 
 
 def filedrawer_region(problem: FileDrawerProblem, rng: RngSpec,
                       n_draws: int = DEFAULT_DRAWS) -> IntervalSet:
     """Simultaneous intervals for every candidate above the threshold."""
-    y, noise, budget = problem.y, problem.noise, problem.budget
-    q_nu = _screening_margin_quantile(noise, budget.nu, rng.child(0), n_draws)
-    plausible = plausible_filedrawer_set(y, problem.threshold, q_nu, budget.nu)
-    realized = plausible.realized
-    if realized.size == 0:
-        return IntervalSet(np.array([], dtype=int), np.array([]), np.array([]),
-                           1.0 - budget.alpha)
-    q_fin = max_stat_quantile_mc(noise, plausible.indices, budget.inference_level,
-                                 rng.child(1), n_draws)
-    halves = q_fin.value * noise.marginal_scales[realized]
-    return IntervalSet(realized, y[realized], halves, 1.0 - budget.alpha)
+    q_nu = _screening_margin_quantile(problem.noise, problem.budget.nu, rng.child(0),
+                                      n_draws)
+    plausible = plausible_filedrawer_set(problem.y, problem.threshold, q_nu)
+    return _parametric_correct(problem, plausible, rng, n_draws)
 
 
 # ---------------------------------------------------------------------------
@@ -287,20 +286,15 @@ def _hoeffding_ci(x, alpha):
 _CI_FNS = {"hoeffding": _hoeffding_ci, "betting": betting_ci}
 
 
-def _np_single_ci(samples: SampleMatrix, col: int, level_alpha: float, ci_kind: str):
-    try:
-        ci_fn = _CI_FNS[ci_kind]
-    except KeyError:
-        raise ValueError(f"unknown ci_kind {ci_kind!r}") from None
-    return ci_fn(samples.data[:, col], level_alpha)
-
-
 def _np_correct(samples: SampleMatrix, plausible: PlausibleSet, budget: BudgetSplit,
                 ci_kind: str) -> IntervalSet:
     """Correction step of both nonparametric problems: each realized column's
     interval at the Bonferroni level (alpha - nu) / |plausible set|."""
-    lo, hi = np.array([_np_single_ci(samples, int(col), budget.inference_level
-                                     / plausible.size, ci_kind)
+    try:
+        ci_fn = _CI_FNS[ci_kind]
+    except KeyError:
+        raise ValueError(f"unknown ci_kind {ci_kind!r}") from None
+    lo, hi = np.array([ci_fn(samples.data[:, col], budget.inference_level / plausible.size)
                        for col in plausible.realized]).reshape(-1, 2).T
     return IntervalSet(plausible.realized, (lo + hi) / 2.0, (hi - lo) / 2.0,
                        1.0 - budget.alpha)
@@ -318,7 +312,7 @@ def np_winner_interval(samples: SampleMatrix, budget: BudgetSplit,
     if not isinstance(samples, SampleMatrix):
         samples = SampleMatrix(samples)
     margin = _np_margin(samples.n, samples.m, budget, bound_kind)
-    plausible = plausible_winner_set(samples.column_means(), margin, budget.nu)
+    plausible = plausible_winner_set(samples.column_means(), margin)
     return _np_correct(samples, plausible, budget, ci_kind)
 
 
@@ -329,8 +323,7 @@ def np_filedrawer_region(samples: SampleMatrix, threshold: float,
     if not isinstance(samples, SampleMatrix):
         samples = SampleMatrix(samples)
     margin = _np_margin(samples.n, samples.m, budget, bound_kind)
-    plausible = plausible_filedrawer_set(samples.column_means(), threshold, margin,
-                                         budget.nu)
+    plausible = plausible_filedrawer_set(samples.column_means(), threshold, margin)
     return _np_correct(samples, plausible, budget, ci_kind)
 
 
@@ -346,7 +339,7 @@ def two_candidate_interval(y, budget: BudgetSplit, sigma: float = 1.0) -> Interv
     q is the two-sided nu-quantile of a single standardized observation;
     otherwise only the winner does.
     """
-    y = np.asarray(y, dtype=float).ravel()
+    y = _finite_outcomes(y)
     if y.size != 2:
         raise ValueError("exactly two candidates required")
     if sigma <= 0:
@@ -397,8 +390,8 @@ def conditional_winner_interval(y, sigma, alpha: float):
     in the lower tail (truth below the interval).
     """
     y = np.asarray(y, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[-1] < 2:
-        raise ValueError("y must have shape (m,) or (trials, m) with m >= 2")
+    if y.ndim not in (1, 2) or y.shape[-1] < 2 or not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite, of shape (m,) or (trials, m) with m >= 2")
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), y.shape[:-1])
     if not np.all(sigma > 0):
         raise ValueError("sigma must be positive")

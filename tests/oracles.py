@@ -21,7 +21,11 @@ The loop simplex is the dense Bland simplex with Python loops over rows and
 columns that the array-wise ``lp_maximize`` replaced: status, value and
 witness must match it bit for bit.  The sorted lower quantile is the
 ``floor(tau * (N + 1))`` rank rule that ``s_tau`` took before it read its
-quantile from ``conservative_quantile``.
+quantile from ``conservative_quantile``.  The two separate parametric
+bodies are ``winner_interval`` and ``filedrawer_region`` as they were before
+they shared one correction: each screens and corrects on its own, the
+winner through a scalar half-width, the file drawer returning early on an
+empty selection.
 """
 
 import math
@@ -40,7 +44,9 @@ from locsim.stats_core import (
     _betting_lambdas,
     _draw_stats,
     _mc_quantile_estimate,
+    max_stat_quantile_mc,
 )
+from locsim.winner import IntervalSet
 
 
 def normal_cdf_quad(x: float) -> float:
@@ -385,3 +391,38 @@ def lower_quantile_sorted(draws, tau):
     n = t.size
     rank = min(max(int(math.floor(tau * (n + 1))), 1), n)
     return float(t[rank - 1])
+
+
+def _screening_margin(noise, nu, rng, n_draws):
+    q = max_stat_quantile_mc(noise, np.arange(noise.dimension), nu, rng, n_draws)
+    return q.value * float(np.max(noise.marginal_scales))
+
+
+def winner_interval_separate(problem, rng, n_draws):
+    """Winner interval with its own correction: the winner's half-width is
+    the plausible set's max-z quantile times its scale."""
+    y, noise, budget = problem.y, problem.noise, problem.budget
+    q_nu = _screening_margin(noise, budget.nu, rng.child(0), n_draws)
+    plausible = np.flatnonzero(y >= y.max() - 4.0 * q_nu)
+    winner = int(np.argmax(y))
+    q_fin = max_stat_quantile_mc(noise, plausible, budget.inference_level,
+                                 rng.child(1), n_draws)
+    half = q_fin.value * noise.marginal_scales[winner]
+    return IntervalSet(np.array([winner]), np.array([y[winner]]),
+                       np.array([half]), 1.0 - budget.alpha)
+
+
+def filedrawer_region_separate(problem, rng, n_draws):
+    """File-drawer region with its own correction, empty without drawing
+    when nothing clears the threshold."""
+    y, noise, budget = problem.y, problem.noise, problem.budget
+    q_nu = _screening_margin(noise, budget.nu, rng.child(0), n_draws)
+    plausible = np.flatnonzero(y >= problem.threshold - 2.0 * q_nu)
+    realized = np.flatnonzero(y >= problem.threshold)
+    if realized.size == 0:
+        return IntervalSet(np.array([], dtype=int), np.array([]), np.array([]),
+                           1.0 - budget.alpha)
+    q_fin = max_stat_quantile_mc(noise, plausible, budget.inference_level,
+                                 rng.child(1), n_draws)
+    halves = q_fin.value * noise.marginal_scales[realized]
+    return IntervalSet(realized, y[realized], halves, 1.0 - budget.alpha)

@@ -95,8 +95,12 @@ class TestRademacherMC:
         assert takes == [50]
 
     def test_empty_subset_rejected(self):
+        nan = np.zeros((10, 3))
+        nan[2, 1] = np.nan
         for mat, n_draws in ((np.zeros((10, 0)), 100), (np.zeros((0, 3)), 100),
-                             (np.zeros((10, 3)), 1)):
+                             (np.zeros((10, 3)), 1), (nan, 100),         # a NaN loss
+                             (np.full((10, 3), 5.0), 100),              # outside [-1, 1]
+                             (np.zeros(10), 100)):                       # one-dimensional
             with pytest.raises(ValueError):
                 rademacher_mc(mat, RngSpec(0), n_draws)
 

@@ -326,20 +326,47 @@ class TestRunners:
             run_experiment(ExperimentConfig(kind="filedrawer-np"))
 
 
+@pytest.fixture
+def no_runner(monkeypatch):
+    # Every runner reads the clock when it starts its first cell.
+    class Clock:
+        @staticmethod
+        def perf_counter():
+            raise AssertionError("a runner started")
+
+    monkeypatch.setattr(experiments_mod, "time", Clock)
+
+
+class TestEarlyRejection:
+    """Config values that would fail late or give garbage rows exit 2
+    before any cell runs."""
+
+    def test_out_missing_directory_or_a_directory(self, tmp_path, no_runner):
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            assert cli.main(["sphere", "--trials", "1000", "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_filedrawer_threshold_not_finite(self, tmp_path, no_runner, threshold):
+        assert cli.main(["filedrawer", f"--threshold={threshold}"]) == 2
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"problem = filedrawer\nthreshold = {threshold}\n")
+        assert cli.main(["coverage", "--config", str(cfg)]) == 2
+
+    def test_delta_grid_not_finite(self, tmp_path, no_runner):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("delta_grid = 0, nan\n")
+        assert cli.main(["figure1", "--config", str(cfg)]) == 2
+
+    def test_sphere_d_grid_below_two(self, tmp_path, no_runner):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("d_grid = 3, 1\n")
+        assert cli.main(["sphere", "--config", str(cfg)]) == 2
+
+
 class TestDataRouting:
     """A ``data`` file reaches only the user-data runners of winner-np,
     filedrawer-np and erm.  Every other combination is a configuration error
     (exit 2) raised before any runner starts."""
-
-    @pytest.fixture
-    def no_runner(self, monkeypatch):
-        # Every runner reads the clock when it starts its first cell.
-        class Clock:
-            @staticmethod
-            def perf_counter():
-                raise AssertionError("a runner started")
-
-        monkeypatch.setattr(experiments_mod, "time", Clock)
 
     @staticmethod
     def _main(tmp_path, text, *argv):

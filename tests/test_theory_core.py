@@ -34,7 +34,7 @@ class TestScreenCorrectPlan:
 def _winner_screen(noise, n_draws):
     def screen(y, nu, rng):
         margin = _screening_margin_quantile(noise, nu, rng, n_draws)
-        return plausible_winner_set(y, margin, nu)
+        return plausible_winner_set(y, margin)
     return screen
 
 
@@ -54,7 +54,7 @@ class TestCompose:
         noise = GaussianNoise(np.eye(m))
 
         def screen_all(y, nu, rng):
-            return plausible_winner_set(y, 1e12, nu)
+            return plausible_winner_set(y, 1e12)
 
         proc = compose(screen_all, _winner_correct(noise, 100_000), budget)
         y = np.random.default_rng(1).normal(size=m)
@@ -67,7 +67,7 @@ class TestCompose:
         noise = GaussianNoise(np.eye(4))
 
         def screen_tight(y, nu, rng):
-            return plausible_winner_set(y, 0.0, nu)
+            return plausible_winner_set(y, 0.0)
 
         proc = compose(screen_tight, _winner_correct(noise, 100_000), budget)
         y = np.array([3.0, 0.1, -1.0, 0.4])

@@ -23,7 +23,12 @@ from locsim.winner import (
 from locsim.winner import _hoeffding_ci, _np_margin
 from locsim.experiments import rbf_covariance
 
-from oracles import binomial_se, conditional_winner_interval_scalar
+from oracles import (
+    binomial_se,
+    conditional_winner_interval_scalar,
+    filedrawer_region_separate,
+    winner_interval_separate,
+)
 
 BUDGET = BudgetSplit(0.1, 0.01)
 
@@ -52,6 +57,11 @@ class TestPlausibleWinnerSet:
             plausible_winner_set(np.array([]), 1.0)
         with pytest.raises(ValueError):
             plausible_winner_set(np.array([1.0]), -0.1)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                plausible_winner_set(np.array([bad, 1.0]), 0.5)
+            with pytest.raises(ValueError, match="finite"):
+                plausible_filedrawer_set(np.array([bad, 1.0]), 0.0, 0.5)
 
     def test_monotone_in_margin(self):
         y = np.random.default_rng(0).normal(size=12)
@@ -125,6 +135,44 @@ class TestFiledrawerRegion:
         k = int(np.sum(y >= -1.0 - margin))
         bonferroni = normal_quantile(1.0 - 0.09 / (2 * k))
         assert iv.half_widths[0] < bonferroni
+
+
+class TestParametricCorrection:
+    """The winner and file-drawer calls share one correction; it must give
+    what their separate bodies gave, bit for bit, with unequal scales."""
+
+    @staticmethod
+    def _noise(kind, m, gen):
+        scales = gen.uniform(0.3, 3.0, m)
+        if kind == "diagonal":
+            return GaussianNoise(np.diag(scales ** 2))
+        return GaussianNoise(scales[:, None] * rbf_covariance(m, 4.0) * scales[None, :])
+
+    @staticmethod
+    def _same(got, want):
+        assert got.indices.tolist() == want.indices.tolist()
+        assert got.centers.tolist() == want.centers.tolist()
+        assert got.half_widths.tolist() == want.half_widths.tolist()
+        assert got.level == want.level
+
+    @pytest.mark.parametrize("m", [5, 40])
+    @pytest.mark.parametrize("kind", ["diagonal", "rbf"])
+    def test_matches_separate_bodies(self, kind, m):
+        gen = np.random.default_rng(m)
+        noise = self._noise(kind, m, gen)
+        for t in range(3):
+            y = np.linspace(0.0, 2.0, m) + noise.sample(gen, 1)[0]
+            rng = RngSpec(31, m, (t,))
+            self._same(winner_interval(WinnerProblem(y, noise, BUDGET), rng, 2000),
+                       winner_interval_separate(WinnerProblem(y, noise, BUDGET), rng, 2000))
+            thresholds = {"some": float(np.median(y)), "none": y.max() + 1.0,
+                          "every": y.min()}
+            for which, threshold in thresholds.items():
+                prob = FileDrawerProblem(y, threshold, noise, BUDGET)
+                got = filedrawer_region(prob, rng, 2000)
+                assert {"some": 0 < got.indices.size < m, "none": got.is_empty,
+                        "every": got.indices.size == m}[which]
+                self._same(got, filedrawer_region_separate(prob, rng, 2000))
 
 
 class TestNpWinnerInterval:
@@ -215,6 +263,12 @@ class TestTwoCandidateInterval:
         iv = two_candidate_interval(np.array([0.0, 100.0]), BUDGET, 2.0)
         assert iv.half_widths[0] == pytest.approx(2 * normal_quantile(0.955), abs=1e-9)
 
+    def test_bad_input_rejected(self):
+        for y, sigma in (([0.0, 1.0, 2.0], 1.0), ([np.nan, 1.0], 1.0),
+                         ([np.inf, 1.0], 1.0), ([0.0, 1.0], 0.0)):
+            with pytest.raises(ValueError):
+                two_candidate_interval(y, BUDGET, sigma)
+
 
 class TestConditionalWinnerInterval:
     def test_no_truncation_matches_nominal(self):
@@ -260,7 +314,10 @@ class TestConditionalWinnerInterval:
                      (y, np.ones(2)),                  # one sigma per row, wrong count
                      (y[None], 1.0),                   # 3-d outcomes
                      (y[:, :1], 1.0),                  # m = 1
-                     (y[0, :1], 1.0)):
+                     (y[0, :1], 1.0),
+                     (np.array([np.nan, 1.0]), 1.0),   # non-finite outcomes
+                     (np.array([np.inf, 1.0]), 1.0),
+                     (np.where(y == 5.0, -np.inf, y), 1.0)):
             with pytest.raises(ValueError):
                 conditional_winner_interval(*args, 0.1)
 
