@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats_core import RngSpec, _draw_stats
+from .stats_core import RngSpec, _draw_stats, _read_csv
 from .theory_core import BudgetSplit
 
 __all__ = [
@@ -81,15 +81,10 @@ class LocalizedBound:
 
 def load_loss_matrix(path) -> LossMatrix:
     """Read a loss matrix from CSV: header row of hypothesis labels, then
-    one row per sample."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if len(rows) < 2:
-        raise ValueError("loss CSV needs a header row and at least one sample row")
-    labels = tuple(c.strip() for c in rows[0])
-    data = np.array([[float(c) for c in row] for row in rows[1:]])
-    return LossMatrix(data, labels)
+    one row per sample.  Blank lines and ``#`` comments in the body are
+    skipped."""
+    header, losses = _read_csv(path, header_lines=1)
+    return LossMatrix(losses, tuple(c.strip() for c in next(csv.reader(header))))
 
 
 def rademacher_mc(losses, rng: RngSpec, n_draws: int = 2000) -> float:

@@ -55,7 +55,6 @@ from .lasso import (
     Design,
     column_max_quantile,
     enumerate_plausible_models,
-    lasso_solve,
     posi_intervals,
     projection_truth,
 )
@@ -63,6 +62,7 @@ from .sphere import SphereProblem, cap_quantile, sphere_interval
 from .stats_core import (
     GaussianNoise,
     RngSpec,
+    _read_csv,
     conservative_quantile,
     max_abs_quantile_iid,
     normal_quantile,
@@ -600,12 +600,7 @@ def run_winner_np(config: ExperimentConfig):
 
 def _run_np_on_data(config: ExperimentConfig):
     """User-data mode: one nonparametric analysis of a CSV of observations."""
-    with open(config.data) as fh:
-        lines = fh.readlines()
-    # loadtxt only warns on a file without data rows; say so plainly.
-    if not any(line.split("#", 1)[0].strip() for line in lines):
-        raise ConfigError(f"{config.data} contains no data")
-    samples = SampleMatrix(np.loadtxt(lines, delimiter=",", ndmin=2))
+    samples = SampleMatrix(_read_csv(config.data)[1])
     budget = config.budget()
     t0 = time.perf_counter()
     if config.kind == "winner-np":
@@ -654,8 +649,9 @@ def run_lasso(config: ExperimentConfig):
     widths, covered = [], []
     for trial in range(config.trials):
         y = mu + config.sigma * gen.standard_normal(config.n)
-        models, _ = enumerate_plausible_models(design, y, lam, s_nu, p_max=config.p_max)
-        _, pair = lasso_solve(design, y, lam)
+        models, frontier = enumerate_plausible_models(design, y, lam, s_nu,
+                                                      p_max=config.p_max)
+        pair = frontier.start
         if not pair.M:
             covered.append(True)
             widths.append(float("nan"))

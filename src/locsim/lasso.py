@@ -90,9 +90,10 @@ class ModelSignPair:
 
 @dataclass(frozen=True)
 class ModelFrontier:
-    """Outcome of the flood fill: visited pairs, cap flag, LPs run and
-    checks the safe rules skipped."""
+    """Outcome of the flood fill: its start (the pair the LASSO selects at
+    y), visited pairs, cap flag, LPs run and checks the safe rules skipped."""
 
+    start: ModelSignPair
     visited: frozenset
     capped: bool
     lp_count: int = 0
@@ -220,6 +221,8 @@ def _selection_event(design: Design, pair: ModelSignPair, lam: float):
     rows in the same order, then one row per active variable in support
     order.
     """
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
     M = list(pair.M)
     Mc = [j for j in range(design.d) if j not in pair.M]
     s = np.asarray(pair.s, dtype=float)
@@ -243,13 +246,11 @@ def selection_polyhedron(design: Design, pair: ModelSignPair, lam: float) -> Pol
 
     The selection event composed with X^T.  Row order: inactive variables
     ascending with their (+) rows, then their (-) rows in the same order,
-    then one row per active variable in support order.  All rows are open
-    (strict) inequalities.
+    then one row per active variable in support order.  The region is
+    returned closed; its boundary has measure zero.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
     event, _ = _selection_event(design, pair, lam)
-    return Polyhedron(event.A @ design.X.T, event.b, np.ones(event.n_rows, dtype=bool))
+    return Polyhedron(event.A @ design.X.T, event.b)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +377,7 @@ def enumerate_plausible_models(design: Design, y, lam: float, s_nu: float,
         if len(seen) > p_max:
             capped = True
             break
-    frontier = ModelFrontier(frozenset(visited), capped, lp_count, safe_skips)
+    frontier = ModelFrontier(start, frozenset(visited), capped, lp_count, safe_skips)
     if capped:
         if design.d > 16:
             raise ValueError("p_max exceeded with d too large to fall back on all subsets")

@@ -1,8 +1,6 @@
 """Small dense linear programs and polyhedral redundancy tests.
 
-Polyhedra are stored as {z : A z <= b} with an optional per-row strictness
-flag.  Strict rows are measure-zero boundaries; the solver always works with
-the closure and callers handle strictness through epsilon margins.
+Polyhedra are closed regions {z : A z <= b}.
 
 The solver is a dense two-phase Bland simplex that works on whole arrays: a
 pivot is one rank-1 update of every row with a nonzero entry in the pivot
@@ -35,11 +33,10 @@ class LpError(RuntimeError):
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """Region {z : A z < b on open rows, A z <= b elsewhere}."""
+    """Closed region {z : A z <= b}."""
 
     A: np.ndarray
     b: np.ndarray
-    open_row: np.ndarray = None
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -48,16 +45,8 @@ class Polyhedron:
             raise ValueError("A and b row counts disagree")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValueError("polyhedron rows must be finite")
-        open_row = self.open_row
-        if open_row is None:
-            open_row = np.zeros(A.shape[0], dtype=bool)
-        else:
-            open_row = np.asarray(open_row, dtype=bool).ravel()
-            if open_row.shape[0] != A.shape[0]:
-                raise ValueError("open_row length must match the row count")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "open_row", open_row)
 
     @property
     def n_rows(self) -> int:
@@ -70,18 +59,11 @@ class Polyhedron:
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        return Polyhedron(
-            np.vstack([self.A, other.A]),
-            np.concatenate([self.b, other.b]),
-            np.concatenate([self.open_row, other.open_row]),
-        )
+        return Polyhedron(np.vstack([self.A, other.A]), np.concatenate([self.b, other.b]))
 
-    def contains(self, z, tol: float = _TOL) -> bool:
-        z = np.asarray(z, dtype=float)
-        vals = self.A @ z
-        closed_ok = vals <= self.b + tol
-        strict_ok = vals < self.b - tol
-        return bool(np.all(np.where(self.open_row, strict_ok, closed_ok)))
+    def contains(self, z) -> bool:
+        """Whether A z <= b holds on every row, up to 1e-9."""
+        return bool(np.all(self.A @ np.asarray(z, dtype=float) <= self.b + _TOL))
 
     @classmethod
     def box(cls, center, radius: float) -> "Polyhedron":
@@ -156,10 +138,10 @@ def _simplex_min(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> st
 
 
 def lp_maximize(c, region: Polyhedron) -> LpResult:
-    """Exact maximizer of c^T z over the closure of the region.
+    """Exact maximizer of c^T z over the region.
 
     Two-phase dense simplex with Bland's rule.  Free variables are split
-    into positive and negative parts; strict rows are treated as closed.
+    into positive and negative parts.
     """
     c = np.asarray(c, dtype=float).ravel()
     if c.shape[0] != region.dim:

@@ -452,3 +452,18 @@ def betting_ci(samples, alpha):
     lo, hi = np.array([betting_interval_from_peaks(grid, peaks, float(a), center)
                        for a in levels]).T
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# Data files
+# ---------------------------------------------------------------------------
+
+def _read_csv(path, header_lines: int = 0):
+    """(first ``header_lines`` lines, float matrix of the rows after them) of
+    a CSV file; blank lines and ``#`` comments among the rows are skipped."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    # loadtxt only warns on a file without data rows; say so plainly.
+    if not any(line.split("#", 1)[0].strip() for line in lines[header_lines:]):
+        raise ValueError(f"{path} has no sample rows")
+    return lines[:header_lines], np.loadtxt(lines[header_lines:], delimiter=",", ndmin=2)

@@ -380,8 +380,11 @@ def conditional_winner_interval(y, sigma, alpha: float):
     truncated CDF of the observed winner equals 1 - alpha/2 and alpha/2,
     found by bisection over mu in [y_max - 20 sigma, y_max + 20 sigma].
     A solution falling outside the bracket is reported as an unbounded
-    endpoint (-inf / +inf): for near-ties the conditional interval genuinely
-    degenerates.
+    endpoint (-inf / +inf).  The bracket, not the interval, is at fault:
+    a runner-up within about 0.15 sigma of the winner gives a -inf lower
+    end, and a closer one can put both ends at -inf, whose width is nan and
+    is left out of the runners' width quantiles.  The exact interval is
+    finite for every gap > 0 (ROADMAP item 2).
 
     Coverage is exact only when the candidates are Gaussian with known
     sigma.  Plugging in an estimated sd for non-Gaussian candidates is a

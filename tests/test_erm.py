@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import locsim.erm as erm_mod
+from locsim import cli
 from locsim.erm import (
     LocalizedBound,
     LossMatrix,
@@ -42,6 +43,37 @@ class TestLossMatrix:
         assert lm.labels == ("good", "bad")
         assert lm.n == 3
         assert np.allclose(lm.empirical_risks(), [0.5, 0.5])
+
+    @staticmethod
+    def _erm_on(tmp_path, text):
+        """(exit code, CSV rows without runtime_ms) of ``locsim erm --data``
+        on a loss file holding ``text``."""
+        data, out = tmp_path / "losses.csv", tmp_path / "out.csv"
+        data.write_text(text)
+        code = cli.main(["erm", "--data", str(data), "--out", str(out)])
+        rows = out.read_text().splitlines() if code == 0 else []
+        return code, [row.rsplit(",", 1)[0] for row in rows]
+
+    def test_csv_trailing_blank_line(self, tmp_path):
+        gen = np.random.default_rng(0)
+        body = "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                       for row in gen.random((30, 4)))
+        text = "f0,f1,f2,f3\n" + body
+        plain = self._erm_on(tmp_path, text)
+        assert plain[0] == 0 and len(plain[1]) == 2
+        assert self._erm_on(tmp_path, text + "\n") == plain
+
+    def test_csv_ragged_row(self, tmp_path, capsys):
+        code, _ = self._erm_on(tmp_path, "a,b\n0.5,0.5\n0.1,0.2,0.3\n")
+        assert code == 2
+        assert "number of columns changed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "a,b\n", "a,b\n\n# note\n"])
+    def test_csv_without_samples(self, tmp_path, text):
+        path = tmp_path / "losses.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="no sample rows"):
+            load_loss_matrix(path)
 
 
 class TestRademacherMC:

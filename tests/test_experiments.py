@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import locsim.experiments as experiments_mod
+import locsim.lasso as lasso_mod
 from locsim import cli
 from locsim.experiments import (
     CSV_HEADER,
@@ -266,6 +267,21 @@ class TestRunners:
                                lambda0=3.0, n_draws=2000)
         rows = run_experiment(cfg)
         assert rows[0].coverage is not None
+
+    def test_lasso_fits_once_per_trial(self, monkeypatch):
+        # The selected pair comes from the flood fill's own solve.
+        calls = []
+        solve = lasso_mod.lasso_solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(lasso_mod, "lasso_solve", counted)
+        monkeypatch.setattr(experiments_mod, "lasso_solve", counted, raising=False)
+        run_experiment(ExperimentConfig(kind="lasso", trials=3, seed=4, d=4, n=60,
+                                        lambda0=3.0, n_draws=2000))
+        assert len(calls) == 3
 
     def test_erm_smoke(self):
         cfg = ExperimentConfig(kind="erm", trials=5, seed=5, n=100, n_hypotheses=8)

@@ -116,6 +116,7 @@ class TestSelectionPolyhedron:
         _, pair = lasso_solve(design, y, 0.8)
         poly = selection_polyhedron(design, pair, 0.8)
         assert poly.contains(y)
+        assert np.all(poly.A @ y < poly.b)
         assert poly.n_rows == 2 * (3 - len(pair.M)) + len(pair.M)
 
     def test_empty_model_rows(self):
@@ -215,6 +216,15 @@ class TestEnumeratePlausibleModels:
         models, frontier = enumerate_plausible_models(design, y, 0.5, 0.0)
         assert models == {pair.M}
         assert not frontier.capped
+
+    @pytest.mark.parametrize("seed, lam, s_nu, p_max", [(32, 0.8, 0.8, 2000),
+                                                         (33, 0.2, 2.0, 1)])
+    def test_start_is_the_lasso_pair(self, seed, lam, s_nu, p_max):
+        design, y = random_instance(seed, d=3)
+        _, frontier = enumerate_plausible_models(design, y, lam, s_nu, p_max=p_max)
+        assert frontier.capped == (p_max == 1)
+        assert frontier.start == lasso_solve(design, y, lam)[1]
+        assert frontier.start in frontier.visited
 
     def test_d1_two_models(self):
         X = np.eye(2)[:, :1]
@@ -392,6 +402,15 @@ def test_negative_radius_rejected(screen):
     _, pair = lasso_solve(design, y, 0.5)
     with pytest.raises(ValueError):
         screen(design, y, pair, 0.5, -0.1)
+
+
+@pytest.mark.parametrize("screen", [safe_screening, exact_screening])
+@pytest.mark.parametrize("lam", [-1.0, 0.0])
+def test_nonpositive_lambda_rejected(screen, lam):
+    design, y = random_instance(7, d=4)
+    _, pair = lasso_solve(design, y, 0.5)
+    with pytest.raises(ValueError, match="lambda"):
+        screen(design, y, pair, lam, 0.5)
 
 
 def test_negative_radius_rejected_by_the_fill():

@@ -192,13 +192,11 @@ class TestConstraintNonredundant:
 
 
 class TestPolyhedron:
-    def test_contains_strictness(self):
-        poly = Polyhedron(np.array([[1.0]]), np.array([1.0]),
-                          open_row=np.array([True]))
+    def test_contains_closed(self):
+        poly = Polyhedron(np.array([[1.0]]), np.array([1.0]))
         assert poly.contains(np.array([0.5]))
-        assert not poly.contains(np.array([1.0]))
-        closed = Polyhedron(np.array([[1.0]]), np.array([1.0]))
-        assert closed.contains(np.array([1.0]))
+        assert poly.contains(np.array([1.0]))
+        assert not poly.contains(np.array([1.0 + 1e-6]))
 
     def test_box_geometry(self):
         region = Polyhedron.box(np.array([1.0, -2.0]), 0.5)
