@@ -185,9 +185,13 @@ class ExperimentConfig:
         elif runner is run_winner_np:
             for theta in self.theta_grid:
                 generate_mu(self.m, float(theta), 1.0)
-        elif runner is run_lasso and not (self.d >= 1 and 0.0 <= self.sparsity <= 1.0):
-            raise ConfigError("lasso needs d >= 1 and sparsity in [0, 1], "
-                              f"got d = {self.d!r}, sparsity = {self.sparsity!r}")
+        elif runner is run_lasso and not (self.d >= 1 and 0.0 <= self.sparsity <= 1.0
+                                          and 0.0 < self.lambda0 < math.inf
+                                          and 0.0 < self.sigma < math.inf):
+            raise ConfigError("lasso needs d >= 1, sparsity in [0, 1] and finite positive "
+                              f"lambda0 and sigma, got d = {self.d!r}, sparsity = "
+                              f"{self.sparsity!r}, lambda0 = {self.lambda0!r}, "
+                              f"sigma = {self.sigma!r}")
         elif runner is run_figure1 and not all(isinstance(v, numbers.Real)
                                                and math.isfinite(v) for v in self.delta_grid):
             raise ConfigError(f"delta_grid entries must be finite, got {self.delta_grid!r}")

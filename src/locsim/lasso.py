@@ -22,7 +22,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .lp import Polyhedron, constraint_nonredundant, lp_maximize
+from .lp import Polyhedron, constraint_nonredundant
 from .stats_core import DEFAULT_DRAWS, GaussianNoise, RngSpec, contrast_quantile_mc
 from .theory_core import BudgetSplit
 from .winner import IntervalSet
@@ -163,8 +163,8 @@ def lasso_solve(design: Design, y, lam: float):
     largest coordinate update falls below 1e-10.  The returned support and
     signs are KKT-verified; a failed check raises SolverError.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0.0 < lam < np.inf:
+        raise ValueError("lambda must be finite and positive")
     y = np.asarray(y, dtype=float).ravel()
     if y.size != design.n:
         raise ValueError("y length does not match the design")
@@ -221,8 +221,8 @@ def _selection_event(design: Design, pair: ModelSignPair, lam: float):
     rows in the same order, then one row per active variable in support
     order.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0.0 < lam < np.inf:
+        raise ValueError("lambda must be finite and positive")
     M = list(pair.M)
     Mc = [j for j in range(design.d) if j not in pair.M]
     s = np.asarray(pair.s, dtype=float)
@@ -336,8 +336,7 @@ def _all_models(d: int):
 
 
 def enumerate_plausible_models(design: Design, y, lam: float, s_nu: float,
-                               p_max: int = 2000, use_safe: bool = True,
-                               certify: bool = False):
+                               p_max: int = 2000, use_safe: bool = True):
     """Breadth-first flood fill of model-sign regions over the box
     {u : ||u - X^T y||_inf <= s_nu}.
 
@@ -349,8 +348,7 @@ def enumerate_plausible_models(design: Design, y, lam: float, s_nu: float,
 
     s_nu is the box radius, usually 2 * column_max_quantile at level nu.
     With use_safe=True each pair's safe_screening sets skip the LPs of the
-    faces they rule out.  With certify=True (debug mode) every popped
-    pair's region is checked to intersect the box by a feasibility LP.
+    faces they rule out.
     """
     box = _box(design, y, s_nu)
     _, start = lasso_solve(design, y, lam)
@@ -363,10 +361,6 @@ def enumerate_plausible_models(design: Design, y, lam: float, s_nu: float,
     while todo:
         pair = todo.popleft()
         visited.append(pair)
-        if certify:
-            event, _ = _selection_event(design, pair, lam)
-            if lp_maximize(np.zeros(design.d), event.intersect(box)).status == "infeasible":
-                raise RuntimeError(f"visited pair {pair} does not intersect the box")
         safe = safe_screening(design, y, pair, lam, s_nu) if use_safe else (set(), set())
         safe_skips += len(safe[0]) + len(safe[1])
         neighbors, n_lps = _neighbors(design, pair, lam, box, safe, seen)

@@ -5,7 +5,9 @@ Polyhedra are closed regions {z : A z <= b}.
 The solver is a dense two-phase Bland simplex that works on whole arrays: a
 pivot is one rank-1 update of every row with a nonzero entry in the pivot
 column, and the entering column is the first ``flatnonzero`` hit of the
-reduced costs.  Only the ratio test walks rows one at a time.
+reduced costs.  Only the ratio test walks rows one at a time.  It starts
+from the slack basis; phase 1 runs only when the origin violates a row,
+and then on one auxiliary column shared by every row.
 """
 
 from __future__ import annotations
@@ -140,8 +142,13 @@ def _simplex_min(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> st
 def lp_maximize(c, region: Polyhedron) -> LpResult:
     """Exact maximizer of c^T z over the region.
 
-    Two-phase dense simplex with Bland's rule.  Free variables are split
-    into positive and negative parts.
+    Two-phase dense simplex with Bland's rule on the standard form
+    A(u - v) + s - t = b with u, v, s, t >= 0: free variables are split into
+    positive and negative parts, and the slacks s form the starting basis.
+    When b >= 0 that basis is feasible and phase 1 is skipped.  Otherwise
+    the single auxiliary variable t enters at the most violated row, which
+    makes every right-hand side nonnegative, and phase 1 minimizes t
+    (Chvatal, *Linear Programming*, 1983, ch. 3).
     """
     c = np.asarray(c, dtype=float).ravel()
     if c.shape[0] != region.dim:
@@ -153,40 +160,29 @@ def lp_maximize(c, region: Polyhedron) -> LpResult:
             return LpResult("optimal", 0.0, np.zeros(n))
         return LpResult("unbounded", np.inf)
 
-    # Standard form: A(u - v) + s = b with u, v, s >= 0.
+    # Columns [u, v, s, t | rhs]; t is column `ncols`.
     ncols = 2 * n + k
-    body = np.hstack([A, -A, np.eye(k)])
-    rhs = b.copy()
-    neg = rhs < 0
-    body[neg] *= -1.0
-    rhs[neg] *= -1.0
+    tableau = np.hstack([A, -A, np.eye(k), -np.ones((k, 1)), b[:, None]])
+    basis = np.arange(2 * n, ncols)
+    if b.min() < 0:
+        _pivot(tableau, basis, int(np.argmin(b)), ncols)
+        cost1 = np.zeros(ncols + 1)
+        cost1[ncols] = 1.0  # minimize t
+        if _simplex_min(tableau, basis, cost1) != "optimal":
+            raise LpError("phase 1 reported unbounded")
+        for r in np.flatnonzero(basis == ncols):
+            if tableau[r, -1] > 1e-7:
+                return LpResult("infeasible", -np.inf)
+            # t is basic at zero.  Row r of B^{-1} [A, -A, I] is nonzero,
+            # as B^{-1} is nonsingular, so t leaves on its largest entry.
+            _pivot(tableau, basis, r, int(np.argmax(np.abs(tableau[r, :ncols]))))
 
-    # Phase 1: artificial variable per row.
-    tableau = np.hstack([body, np.eye(k), rhs[:, None]])
-    basis = np.arange(ncols, ncols + k)
-    cost1 = np.concatenate([np.zeros(ncols), np.ones(k)])
-    status = _simplex_min(tableau, basis, cost1)
-    if status != "optimal":
-        raise LpError("phase 1 reported unbounded")
-    phase1_value = cost1[basis] @ tableau[:, -1]
-    if phase1_value > 1e-7:
-        return LpResult("infeasible", -np.inf)
-    # Drive any remaining artificials out of the basis.  A row with no
-    # structural entry is redundant: it keeps its artificial and phase 2
-    # drops it.
-    for r in np.flatnonzero(basis >= ncols):
-        structural = np.flatnonzero(np.abs(tableau[r, :ncols]) > _TOL)
-        if structural.size:
-            _pivot(tableau, basis, r, structural[0])
-
-    # Phase 2 on structural columns only.
-    live = np.flatnonzero(basis < ncols)
-    tableau2 = np.delete(tableau[live], np.s_[ncols:ncols + k], axis=1)
-    basis2 = basis[live]
+    # Phase 2 on the same rows, t's column deleted.
+    tableau = np.delete(tableau, ncols, axis=1)
     cost2 = np.concatenate([-c, c, np.zeros(k)])  # minimize -c^T(u - v)
-    status = _simplex_min(tableau2, basis2, cost2)
+    status = _simplex_min(tableau, basis, cost2)
     x = np.zeros(ncols)
-    x[basis2] = tableau2[:, -1]
+    x[basis] = tableau[:, -1]
     witness = x[:n] - x[n:2 * n]
     if status == "unbounded":
         return LpResult("unbounded", np.inf, witness)

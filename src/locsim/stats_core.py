@@ -278,8 +278,8 @@ def contrast_quantile_mc(contrasts, noise_scale: float, alpha: float,
         raise ValueError("contrast set must be nonempty")
     if not np.all(np.isfinite(v)):
         raise ValueError("contrasts must be finite")
-    if noise_scale <= 0:
-        raise ValueError("noise_scale must be positive")
+    if not 0.0 < noise_scale < np.inf:
+        raise ValueError("noise_scale must be finite and positive")
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     if n_draws < 1000:

@@ -18,8 +18,12 @@ oracle restricts the noise on every call, full set included, and draws
 through the product with the factor even when the noise is diagonal; the
 library's full-set reuse and elementwise scaling must match it bit for bit.
 The loop simplex is the dense Bland simplex with Python loops over rows and
-columns that the array-wise ``lp_maximize`` replaced: status, value and
-witness must match it bit for bit.  The sorted lower quantile is the
+columns, from the same slack-basis start with one auxiliary column: status,
+value and witness of the array-wise ``lp_maximize`` must match it bit for
+bit.  The artificial-variable loop simplex is the earlier start, one
+artificial per row with the right-hand sides made nonnegative by negating
+rows: it reaches the same status and optimal value by another pivot path,
+so it is compared within a tolerance.  The sorted lower quantile is the
 ``floor(tau * (N + 1))`` rank rule that ``s_tau`` took before it read its
 quantile from ``conservative_quantile``.  The two separate parametric
 bodies are ``winner_interval`` and ``filedrawer_region`` as they were before
@@ -337,8 +341,54 @@ def _simplex_min_loops(tableau, basis, cost, tol=_LP_TOL):
 
 
 def lp_maximize_loops(c, region):
-    """Two-phase dense Bland simplex, one row and one column at a time, with
-    the phase-1 drive-out that zeroes a row it cannot pivot on."""
+    """Two-phase dense Bland simplex from the slack basis, one row and one
+    column at a time: one auxiliary column t enters at the most violated
+    row, phase 1 minimizes it, and a t left basic at zero leaves on the
+    first largest entry of its row."""
+    c = np.asarray(c, dtype=float).ravel()
+    A, b = region.A, region.b
+    k, n = A.shape
+    if k == 0:
+        if np.all(c == 0.0):
+            return LpResult("optimal", 0.0, np.zeros(n))
+        return LpResult("unbounded", np.inf)
+    ncols = 2 * n + k
+    tableau = np.hstack([A, -A, np.eye(k), -np.ones((k, 1)), b[:, None]])
+    basis = np.arange(2 * n, ncols)
+    worst = 0
+    for r in range(k):
+        if b[r] < b[worst]:
+            worst = r
+    if b[worst] < 0:
+        _pivot_loops(tableau, basis, worst, ncols)
+        cost1 = np.zeros(ncols + 1)
+        cost1[ncols] = 1.0
+        if _simplex_min_loops(tableau, basis, cost1) != "optimal":
+            raise LpError("phase 1 reported unbounded")
+        for r in range(k):
+            if basis[r] == ncols:
+                if tableau[r, -1] > 1e-7:
+                    return LpResult("infeasible", -np.inf)
+                pivot_col = 0
+                for j in range(ncols):
+                    if abs(tableau[r, j]) > abs(tableau[r, pivot_col]):
+                        pivot_col = j
+                _pivot_loops(tableau, basis, r, pivot_col)
+    tableau2 = tableau[:, list(range(ncols)) + [-1]]
+    cost2 = np.concatenate([-c, c, np.zeros(k)])
+    status = _simplex_min_loops(tableau2, basis, cost2)
+    x = np.zeros(ncols)
+    x[basis] = tableau2[:, -1]
+    witness = x[:n] - x[n:2 * n]
+    if status == "unbounded":
+        return LpResult("unbounded", np.inf, witness)
+    return LpResult("optimal", float(c @ witness), witness)
+
+
+def lp_maximize_artificial_loops(c, region):
+    """Two-phase dense Bland simplex with one artificial variable per row,
+    one row and one column at a time, with the phase-1 drive-out that zeroes
+    a row it cannot pivot on."""
     c = np.asarray(c, dtype=float).ravel()
     A, b = region.A, region.b
     k, n = A.shape

@@ -378,6 +378,16 @@ class TestEarlyRejection:
         cfg.write_text("d_grid = 3, 1\n")
         assert cli.main(["sphere", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("line", ["lambda0 = nan", "lambda0 = inf", "lambda0 = -1",
+                                      "lambda0 = 0", "sigma = nan", "sigma = inf",
+                                      "sigma = 0", "sigma = -1"])
+    def test_lasso_lambda0_or_sigma_bad(self, tmp_path, no_runner, line):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{line}\n")
+        assert cli.main(["lasso", "--config", str(cfg)]) == 2
+        cfg.write_text(f"problem = lasso\n{line}\n")
+        assert cli.main(["coverage", "--config", str(cfg)]) == 2
+
 
 class TestDataRouting:
     """A ``data`` file reaches only the user-data runners of winner-np,

@@ -7,6 +7,8 @@ from locsim.lasso import (
     DegeneracyError,
     Design,
     ModelSignPair,
+    _box,
+    _selection_event,
     column_max_quantile,
     enumerate_plausible_models,
     exact_screening,
@@ -16,6 +18,7 @@ from locsim.lasso import (
     safe_screening,
     selection_polyhedron,
 )
+from locsim.lp import lp_maximize
 from locsim.stats_core import RngSpec, max_abs_quantile_iid, normal_quantile
 from locsim.theory_core import BudgetSplit
 
@@ -100,8 +103,9 @@ class TestLassoSolve:
 
     def test_invalid_lambda(self):
         design, y = random_instance(0)
-        with pytest.raises(ValueError):
-            lasso_solve(design, y, 0.0)
+        for lam in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lambda"):
+                lasso_solve(design, y, lam)
 
     def test_degenerate_design_rejected(self):
         X = np.ones((10, 2))  # duplicate columns
@@ -288,13 +292,16 @@ class TestEnumeratePlausibleModels:
         assert len(models) == 2**3
         assert () in models and (0, 1, 2) in models
 
-    def test_certify_debug_mode(self):
-        # Every visited region must intersect the box; debug mode proves it
-        # with a feasibility LP per pop and must not change the output.
+    def test_every_visited_region_meets_the_box(self):
+        # A feasibility LP per visited pair: its closed region intersects
+        # the box the fill was run over.
         design, y = random_instance(34, d=3)
-        plain, _ = enumerate_plausible_models(design, y, 0.8, 0.9)
-        certified, _ = enumerate_plausible_models(design, y, 0.8, 0.9, certify=True)
-        assert plain == certified
+        _, frontier = enumerate_plausible_models(design, y, 0.8, 0.9)
+        assert len(frontier.visited) >= 2
+        for pair in frontier.visited:
+            event, _ = _selection_event(design, pair, 0.8)
+            res = lp_maximize(np.zeros(design.d), event.intersect(_box(design, y, 0.9)))
+            assert res.status != "infeasible"
 
     def test_oracle_containment_d2_d3(self):
         hits_eq = 0
@@ -405,7 +412,7 @@ def test_negative_radius_rejected(screen):
 
 
 @pytest.mark.parametrize("screen", [safe_screening, exact_screening])
-@pytest.mark.parametrize("lam", [-1.0, 0.0])
+@pytest.mark.parametrize("lam", [-1.0, 0.0, math.nan, math.inf])
 def test_nonpositive_lambda_rejected(screen, lam):
     design, y = random_instance(7, d=4)
     _, pair = lasso_solve(design, y, 0.5)

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import locsim.lasso
 import locsim.lp
 from locsim.lasso import Design, column_max_quantile, enumerate_plausible_models
 from locsim.lp import Polyhedron, constraint_nonredundant, lp_maximize
 from locsim.stats_core import RngSpec
 
-from oracles import lp_maximize_loops, vertex_enumeration_max
+from oracles import lp_maximize_artificial_loops, lp_maximize_loops, vertex_enumeration_max
 
 
 def box(n, half):
@@ -71,6 +72,9 @@ class TestLpMaximize:
 
 
 def assert_same_lp(c, region):
+    """Bit for bit against the loop simplex with the same start; same status,
+    value within 1e-9 relative and a feasible witness against the
+    artificial-variable start."""
     res, ref = lp_maximize(c, region), lp_maximize_loops(c, region)
     assert res.status == ref.status
     assert res.value == ref.value
@@ -78,11 +82,18 @@ def assert_same_lp(c, region):
         assert res.witness is None
     else:
         assert np.array_equal(res.witness, ref.witness)
+    old = lp_maximize_artificial_loops(c, region)
+    assert res.status == old.status
+    if res.status == "optimal":
+        assert abs(res.value - old.value) <= 1e-9 * max(1.0, abs(old.value))
+    if res.witness is not None:
+        assert np.all(region.A @ res.witness <= region.b + 1e-9)
     return res.status
 
 
 class TestMatchesLoopSimplex:
-    """The array-wise simplex reproduces the row-by-row one bit for bit."""
+    """The array-wise simplex reproduces the row-by-row one bit for bit, and
+    the artificial-variable start to within rounding."""
 
     def test_random_regions(self):
         gen = np.random.default_rng(2024)
@@ -130,17 +141,93 @@ class TestMatchesLoopSimplex:
         y = X @ beta + gen.standard_normal(n)
         s_nu = 2.0 * column_max_quantile(design, 1.0, 0.01, RngSpec(810), 20_000)
         issued = []
+        tests = []
 
         def recording(c, region):
             issued.append((np.array(c, dtype=float), region))
             return lp_maximize(c, region)
 
+        def recording_test(region, i, bx):
+            tests.append((region, i, bx))
+            return constraint_nonredundant(region, i, bx)
+
         monkeypatch.setattr(locsim.lp, "lp_maximize", recording)
+        monkeypatch.setattr(locsim.lasso, "constraint_nonredundant", recording_test)
         _, frontier = enumerate_plausible_models(design, y, lam, s_nu, use_safe=False)
         monkeypatch.undo()
-        assert len(issued) == frontier.lp_count > 0
+        assert len(issued) == len(tests) == frontier.lp_count > 0
         for c, region in issued:
             assert_same_lp(c, region)
+        decisions = [constraint_nonredundant(*args) for args in tests]
+        monkeypatch.setattr(locsim.lp, "lp_maximize", lp_maximize_artificial_loops)
+        assert decisions == [constraint_nonredundant(*args) for args in tests]
+        assert any(decisions) and not all(decisions)
+
+
+class TestSlackStart:
+    """Inputs the slack-basis start must handle."""
+
+    @staticmethod
+    def record_pivots(monkeypatch):
+        pivots = []
+        real = locsim.lp._pivot
+
+        def recording(tableau, basis, row, col):
+            pivots.append((tableau.shape[1], int(basis[row]), col, tableau[row, -1]))
+            real(tableau, basis, row, col)
+
+        monkeypatch.setattr(locsim.lp, "_pivot", recording)
+        return pivots
+
+    def test_origin_inside_skips_phase_one(self, monkeypatch):
+        gen = np.random.default_rng(5)
+        A = np.vstack([gen.normal(size=(6, 3)), np.eye(3), -np.eye(3)])
+        b = np.concatenate([gen.uniform(0.1, 1.0, size=6), np.full(6, 2.0)])
+        region = Polyhedron(A, b)
+        pivots = self.record_pivots(monkeypatch)
+        res = lp_maximize(gen.normal(size=3), region)
+        # Phase-2 tableaus are [u, v, s | rhs]; phase 1 adds t's column.
+        ncols = 2 * 3 + A.shape[0]
+        assert pivots and all(width == ncols + 1 for width, *_ in pivots)
+        monkeypatch.undo()
+        assert res.status == "optimal"
+        assert_same_lp(np.ones(3), region)
+
+    def test_single_point_drives_t_out(self, monkeypatch):
+        # x <= -1 and -x <= 1: the region is the point x = -1, so phase 1
+        # ends with t basic at zero and t must leave before phase 2.
+        region = Polyhedron(np.array([[1.0], [-1.0]]), np.array([-1.0, 1.0]))
+        t_col = 2 * 1 + 2
+        for c in (1.0, -1.0):
+            pivots = self.record_pivots(monkeypatch)
+            res = lp_maximize(np.array([c]), region)
+            monkeypatch.undo()
+            assert res.status == "optimal"
+            assert res.value == -c
+            assert np.array_equal(res.witness, [-1.0])
+            drive_out = [p for p in pivots if p[1] == t_col and p[2] != t_col]
+            assert len(drive_out) == 1 and drive_out[0][3] == 0.0
+            assert_same_lp(np.array([c]), region)
+
+    def test_duplicated_violated_rows(self):
+        gen = np.random.default_rng(12)
+        statuses = []
+        for n in (1, 2, 3):
+            for _ in range(20):
+                A = gen.normal(size=(3, n))
+                b = -gen.uniform(0.1, 1.0, size=3)
+                # The most violated row appears twice, so argmin has a tie.
+                A = np.vstack([A, A, np.eye(n), -np.eye(n)])
+                b = np.concatenate([b, b, np.full(2 * n, 3.0)])
+                c = gen.normal(size=n)
+                status = assert_same_lp(c, Polyhedron(A, b))
+                statuses.append(status)
+                ref = vertex_enumeration_max(c, A, b)
+                if status == "infeasible":
+                    assert ref == -np.inf
+                else:
+                    assert lp_maximize(c, Polyhedron(A, b)).value == pytest.approx(ref, abs=1e-7)
+        assert {"optimal", "infeasible"} <= set(statuses)
 
 
 class TestConstraintNonredundant:

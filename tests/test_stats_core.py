@@ -245,6 +245,11 @@ class TestContrastQuantileMC:
         with pytest.raises(ValueError):
             contrast_quantile_mc(np.zeros((0, 3)), 1.0, 0.1, RngSpec(0), 10_000)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_noise_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="noise_scale"):
+            contrast_quantile_mc(np.eye(3), scale, 0.1, RngSpec(0), 10_000)
+
 
 class TestHoeffdingWidth:
     def test_frozen_values(self):
