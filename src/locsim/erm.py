@@ -113,8 +113,8 @@ def rademacher_mc(losses, rng: RngSpec, n_draws: int = 2000) -> float:
 def plausible_hypotheses(losses: LossMatrix, gap_full: float, nu: float) -> np.ndarray:
     """Hypotheses whose empirical risk is within the screening slack of the
     minimum: slack = 4 * gap_full + 4 sqrt((2/n) log(1/nu))."""
-    if gap_full < 0:
-        raise ValueError("gap_full must be nonnegative")
+    if not gap_full >= 0:
+        raise ValueError(f"gap_full must be nonnegative, got {gap_full}")
     if not (0.0 < nu < 1.0):
         raise ValueError("nu must lie in (0, 1)")
     risks = losses.empirical_risks()

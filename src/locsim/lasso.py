@@ -8,10 +8,10 @@ the models discovered in the box.
 
 Selection via the LASSO depends on y only through u = X^T y, so each pair
 has one selection event, built in u-coordinates (dimension d instead of n).
-The safe rules (each event row's maximum over the box), the screening LPs
-and the debug certificate all read that event, and the quantile
-simulations work in the same coordinates; the public outcome-space
-polyhedron is the event composed with X^T.
+The safe rules (each event row's maximum over the box) and the screening
+LPs both read that event, and the quantile simulations work in the same
+coordinates; the public outcome-space polyhedron is the event composed
+with X^T.
 """
 
 from __future__ import annotations

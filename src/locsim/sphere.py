@@ -61,6 +61,8 @@ def mu_norm_lower_bound(y_norm_sq: float, d: int, tau: float, rng: RngSpec,
         raise ValueError("d must be positive")
     if not (0.0 < tau < 1.0):
         raise ValueError("tau must lie in (0, 1)")
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     gen = rng.generator()
     z = gen.standard_normal((n_draws, d))
     z1 = z[:, 0]
@@ -101,6 +103,8 @@ def s_tau(c: float, d: int, tau: float, rng: RngSpec,
         raise ValueError("d must be at least 2")
     if not (0.0 < tau < 1.0):
         raise ValueError("tau must lie in (0, 1)")
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     gen = rng.generator()
     num = gen.standard_normal(n_draws) + c
     chi_sq = gen.standard_normal((n_draws, d - 1))
@@ -127,6 +131,8 @@ def cap_quantile(delta: float, d: int, alpha: float, rng: RngSpec,
         raise ValueError("d must be at least 2")
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     gen = rng.generator()
     z = gen.standard_normal((n_draws, d))
     z1 = z[:, 0]

@@ -179,8 +179,8 @@ def max_abs_quantile_iid(m: int, alpha: float, sigma: float = 1.0) -> float:
         raise ValueError("m must be >= 1")
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     return sigma * normal_quantile((1.0 + (1.0 - alpha) ** (1.0 / m)) / 2.0)
 
 
@@ -189,12 +189,15 @@ def max_abs_quantile_iid(m: int, alpha: float, sigma: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 def conservative_rank(alpha: float, n: int) -> int:
-    """1-based order-statistic rank ceil((1-alpha)*(n+1)), clipped to [1, n].
+    """1-based order-statistic rank ceil((1-alpha)*(n+1)), clipped to [1, n];
+    ValueError unless n >= 1.
 
     The product is taken in floating point on the binary alpha: where the
     decimal product is whole, the rank can be one above it, never below
     (conservative_rank(0.95, 19) is 2, not ceil(0.05 * 20) = 1).
     """
+    if n < 1:
+        raise ValueError(f"need at least one draw, got {n}")
     r = math.ceil((1.0 - alpha) * (n + 1))
     return min(max(r, 1), n)
 
@@ -356,7 +359,7 @@ def _betting_lambdas(x: np.ndarray) -> np.ndarray:
     return lam
 
 
-def betting_capital_peaks(samples, alpha_floor=None):
+def betting_capital_peaks(samples, alpha_floor):
     """Running-maximum log capital of the hedged betting process at every
     grid mean in (0, 1), step 1e-3.
 
@@ -364,22 +367,22 @@ def betting_capital_peaks(samples, alpha_floor=None):
     peak profile serves every alpha: a grid value survives level alpha iff
     its peak stays below log(1/alpha).  Returns (grid, peaks).
 
-    The samples are walked in blocks of ``_BETTING_BLOCK`` rows.  With an
-    ``alpha_floor`` in (0, 1), a grid value whose peak has reached
-    log(1/alpha_floor) at the end of a block is dropped: its reported peak
-    is the peak at the drop, which is >= log(1/alpha_floor), so it is
-    rejected at every level >= alpha_floor.  Every other peak equals the
-    full-sample peak bit for bit, so intervals at levels >= alpha_floor are
-    the same as with no floor.  ``alpha_floor=None`` drops nothing.
+    The samples are walked in blocks of ``_BETTING_BLOCK`` rows.  A grid
+    value whose peak has reached log(1/alpha_floor), ``alpha_floor`` in
+    (0, 1), at the end of a block is dropped: its reported peak is the peak
+    at the drop, which is >= log(1/alpha_floor), so it is rejected at every
+    level >= alpha_floor.  Every other peak equals the full-sample peak bit
+    for bit, so intervals at levels >= alpha_floor are those of the
+    full-sample profile.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise ValueError("need at least 2 samples")
     if not np.all(np.isfinite(x)) or x.min() < 0.0 or x.max() > 1.0:
         raise ValueError("samples must lie in [0, 1]")
-    if alpha_floor is not None and not (0.0 < alpha_floor < 1.0):
+    if not (0.0 < alpha_floor < 1.0):
         raise ValueError(f"alpha_floor must lie in (0, 1), got {alpha_floor}")
-    threshold = math.inf if alpha_floor is None else math.log(1.0 / alpha_floor)
+    threshold = math.log(1.0 / alpha_floor)
     grid = np.arange(_BETTING_GRID_STEP, 1.0, _BETTING_GRID_STEP)
     lam = _betting_lambdas(x)
     peaks = np.empty_like(grid)

@@ -83,7 +83,6 @@ def compose(screen, correct, budget: BudgetSplit):
             realized=np.asarray(plausible.realized, dtype=int),
             plausible=np.asarray(plausible.indices, dtype=int),
         )
-        assert abs((budget.alpha - budget.nu) - plan.inference_level) == 0.0
         return intervals, plan
 
     return procedure

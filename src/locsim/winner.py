@@ -85,8 +85,8 @@ class IntervalSet:
         hw = np.asarray(self.half_widths, dtype=float)
         if not (idx.shape == ctr.shape == hw.shape):
             raise ValueError("indices, centers and half_widths must align")
-        if np.any(hw < 0):
-            raise ValueError("half widths must be nonnegative")
+        if not np.all(hw >= 0):
+            raise ValueError("half widths must be nonnegative, not NaN")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "centers", ctr)
         object.__setattr__(self, "half_widths", hw)
@@ -342,8 +342,8 @@ def two_candidate_interval(y, budget: BudgetSplit, sigma: float = 1.0) -> Interv
     y = _finite_outcomes(y)
     if y.size != 2:
         raise ValueError("exactly two candidates required")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     q_nu = max_abs_quantile_iid(1, budget.nu, 1.0)
     switch = 2.0 * math.sqrt(2.0) * sigma * q_nu
     k = 2 if abs(y[1] - y[0]) <= switch else 1

@@ -355,19 +355,14 @@ def test_c07_posi_coverage_and_pmax_fallback():
 # ---------------------------------------------------------------------------
 
 def test_c08_erm_bound_validity():
-    trials, n, F = 2000, 400, 50
-    means = np.linspace(0.1, 0.9, F)
-    gen = np.random.default_rng(801)
-    holds = 0
-    for t in range(trials):
-        losses = (gen.random((n, F)) < means[None, :]).astype(float)
-        res = erm_risk_bound(LossMatrix(losses), BUDGET, RngSpec(802, t), 500)
-        holds += means[res.erm_index] <= res.bound
-    freq = holds / trials
+    n, F = 400, 50
+    [row] = run_experiment(ExperimentConfig(kind="erm", trials=2000, n=n,
+                                            n_hypotheses=F, seed=801))
+    freq = row.coverage
     ok_validity = freq >= 0.88
 
     # Localization fixture: one near-zero-risk hypothesis, many risk-1 ones.
-    good = (gen.random((n, 1)) < 0.02).astype(float)
+    good = (np.random.default_rng(801).random((n, 1)) < 0.02).astype(float)
     bad = np.ones((n, F - 1))
     res = erm_risk_bound(LossMatrix(np.hstack([good, bad])), BUDGET,
                          RngSpec(803), 4000)
@@ -382,20 +377,9 @@ def test_c08_erm_bound_validity():
 # ---------------------------------------------------------------------------
 
 def test_c09_sphere():
-    trials = 2000
-    coverages = {}
-    for d in (3, 5):
-        mu = np.zeros(d)
-        mu[0] = 3.0
-        gen = np.random.default_rng(900 + d)
-        hits = 0
-        for t in range(trials):
-            y = mu + gen.standard_normal(d)
-            lo, hi = sphere_interval(SphereProblem(y, BUDGET),
-                                     RngSpec(901 + d, t), 4000)
-            theta = float((y / np.linalg.norm(y)) @ mu)
-            hits += lo <= theta <= hi
-        coverages[d] = hits / trials
+    rows = run_experiment(ExperimentConfig(kind="sphere", trials=2000, d_grid=(3, 5),
+                                           mu_norm=3.0, n_draws=4000, seed=900))
+    coverages = {row.param_m: row.coverage for row in rows if row.method == "local"}
     cov_ok = all(v >= 0.88 for v in coverages.values())
 
     deltas = []

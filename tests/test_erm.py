@@ -165,6 +165,12 @@ class TestPlausibleHypotheses:
         c = plausible_hypotheses(lm, 0.01, 0.001)
         assert set(a.tolist()) <= set(c.tolist())
 
+    def test_nan_gap_rejected(self):
+        # A NaN slack would keep no hypothesis, not even the ERM.
+        lm = LossMatrix(np.random.default_rng(3).uniform(0, 1, size=(20, 4)))
+        with pytest.raises(ValueError, match="gap_full"):
+            plausible_hypotheses(lm, math.nan, 0.01)
+
     def test_contains_all_minimizers(self):
         losses = np.zeros((30, 3))
         losses[:, 2] = 1.0

@@ -111,6 +111,17 @@ class TestCapQuantile:
             cap_quantile(4.0, 4, 0.1, RngSpec(0), 2000)
 
 
+@pytest.mark.parametrize("kernel", [
+    lambda n: mu_norm_lower_bound(9.0, 3, 0.005, RngSpec(0), n),
+    lambda n: s_tau(1.0, 3, 0.005, RngSpec(0), n),
+    lambda n: cap_quantile(1.0, 3, 0.1, RngSpec(0), n),
+], ids=["mu_norm_lower_bound", "s_tau", "cap_quantile"])
+@pytest.mark.parametrize("n_draws", [0, -1])
+def test_kernels_need_a_draw(kernel, n_draws):
+    with pytest.raises(ValueError, match="n_draws"):
+        kernel(n_draws)
+
+
 class TestSphereInterval:
     def test_strong_signal_close_to_nominal(self):
         prob = SphereProblem(np.r_[100.0, np.zeros(4)], BUDGET)

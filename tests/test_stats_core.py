@@ -84,6 +84,11 @@ class TestMaxAbsQuantileIid:
         with pytest.raises(ValueError):
             max_abs_quantile_iid(3, 0.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -1.0])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            max_abs_quantile_iid(3, 0.1, sigma)
+
 
 class TestConservativeRank:
     ALPHAS = [k / 1000 for k in range(1, 1000)] + [0.0001, 0.0025, 0.005, 0.045, 0.09]
@@ -107,6 +112,10 @@ class TestConservativeRank:
     def test_whole_product_can_round_up(self):
         assert self.decimal_rank(0.95, 19) == 1
         assert conservative_rank(0.95, 19) == 2
+
+    def test_empty_draws_rejected(self):
+        with pytest.raises(ValueError, match="at least one draw"):
+            conservative_quantile(np.array([]), 0.1)
 
 
 class TestMaxStatQuantileMC:

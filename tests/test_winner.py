@@ -9,6 +9,7 @@ from locsim.stats_core import GaussianNoise, RngSpec, hoeffding_width, max_abs_q
 from locsim.theory_core import BudgetSplit
 from locsim.winner import (
     FileDrawerProblem,
+    IntervalSet,
     SampleMatrix,
     WinnerProblem,
     conditional_winner_interval,
@@ -269,6 +270,11 @@ class TestTwoCandidateInterval:
             with pytest.raises(ValueError):
                 two_candidate_interval(y, BUDGET, sigma)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_nonfinite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            two_candidate_interval([0.0, 1.0], BUDGET, sigma)
+
 
 class TestConditionalWinnerInterval:
     def test_no_truncation_matches_nominal(self):
@@ -336,6 +342,10 @@ class TestConditionalWinnerInterval:
 
 
 class TestStructuralInvariants:
+    def test_nan_half_width_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            IntervalSet(np.array([0]), np.array([1.0]), np.array([np.nan]), 0.9)
+
     def test_nestedness_of_final_quantile(self):
         noise = GaussianNoise(rbf_covariance(12, 3.0))
         from locsim.stats_core import max_stat_quantile_mc
