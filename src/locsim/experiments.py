@@ -363,8 +363,12 @@ def rbf_covariance(m: int, phi: float) -> np.ndarray:
     idx = np.arange(m, dtype=float)
     diff = idx[:, None] - idx[None, :]
     # np.square: a huge phi gives inf (all-ones covariance), not OverflowError.
-    with np.errstate(over="ignore"):
-        return np.exp(-(diff**2) / (2.0 * np.square(phi)))
+    # A tiny phi underflows 2 phi^2 to 0: off the diagonal exp(-inf) = 0, and
+    # on it 0/0, so the diagonal is set to its value at every other phi, 1.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cov = np.exp(-(diff**2) / (2.0 * np.square(phi)))
+    np.fill_diagonal(cov, 1.0)
+    return cov
 
 
 # ---------------------------------------------------------------------------

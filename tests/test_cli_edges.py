@@ -80,6 +80,14 @@ def test_any_positive_rbf_length_scale(kind, phi):
     assert _exit_code(kind, "--trials", "2", config=config) in (0, 2, 3)
 
 
+@pytest.mark.parametrize("kind", ["winner", "filedrawer"])
+def test_tiny_rbf_length_scale_runs(kind):
+    # 2 phi^2 underflows to 0; the kernel is still the identity.
+    config = ("phi = 1e-200\ncov_kinds = rbf\nm_grid = 10\ntheta_grid = 2\n"
+              "c_grid = 10\nn_draws = 1000\n")
+    assert _exit_code(kind, "--trials", "5", config=config) == 0
+
+
 BAD_ENTRIES = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]),
                         st.floats(1.0, 1e300, exclude_min=True),
                         st.floats(-1e300, 0.0, exclude_max=True))

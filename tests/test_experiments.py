@@ -79,6 +79,20 @@ class TestGenerateMu:
             cov = rbf_covariance(5, 1e300)
         assert np.array_equal(cov, np.ones((5, 5)))
 
+    @pytest.mark.parametrize("phi", [20.0, 5.0, 0.3, 1e-3, 1e-160, 1e200, np.inf])
+    def test_rbf_matches_kernel_formula(self, phi):
+        diff = np.subtract.outer(np.arange(7.0), np.arange(7.0))
+        with np.errstate(over="ignore"):
+            formula = np.exp(-(diff**2) / (2.0 * np.square(phi)))
+        assert np.array_equal(rbf_covariance(7, phi), formula)
+
+    def test_rbf_tiny_length_scale_is_identity_without_warning(self):
+        # 2 phi^2 underflows to 0, so the diagonal is 0/0 until it is set.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cov = rbf_covariance(5, 1e-200)
+        assert np.array_equal(cov, np.eye(5))
+
     def test_rbf_unit_diagonal(self):
         cov = rbf_covariance(30, 5.0)
         assert np.allclose(np.diag(cov), 1.0)

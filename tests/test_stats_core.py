@@ -2,14 +2,18 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import locsim
+import locsim.stats_core as stats_core
 
 from locsim.experiments import rbf_covariance
+from locsim.lasso import Design
 from locsim.stats_core import (
     CovarianceError,
     GaussianNoise,
@@ -30,6 +34,7 @@ from locsim.stats_core import (
 from oracles import (
     bentkus_width_binom,
     binomial_se,
+    contrast_quantile_mc_alloc,
     max_abs_quantile_bisect,
     max_stat_quantile_mc_dense,
     phi_inv_bisect,
@@ -221,6 +226,54 @@ def test_max_stat_chunk_invariant(chunked_both_ways, kind):
     one_row, one_chunk = chunked_both_ways(
         lambda: max_stat_quantile_mc(noise, range(20), 0.1, RngSpec(21), 2000))
     assert one_row == one_chunk
+
+
+def _capped_contrasts(d=8, n=200, seed=0):
+    """posi_intervals' contrast set over every nonempty support of a lasso
+    runner's design (n x d normals, unit columns): d 2^(d-1) rows."""
+    X = np.random.default_rng(seed).standard_normal((n, d))
+    X /= np.linalg.norm(X, axis=0)
+    design = Design(X)
+    L = design.gram_factor()
+    reps = []
+    for size in range(1, d + 1):
+        for M in combinations(range(d), size):
+            inv = design.gram_inverse(M)
+            reps.append(inv @ L[list(M), :] / np.sqrt(np.diag(inv))[:, None])
+    return np.vstack(reps)
+
+
+class TestContrastMatchesAllocatingOracle:
+    """Scaling the draws and reducing the product in place keep every bit
+    of the kernel that allocates both."""
+
+    @pytest.mark.parametrize("contrasts, scale, n_draws", [
+        (_capped_contrasts, 1.0, 10_000),
+        (lambda: np.random.default_rng(3).standard_normal((50, 8)), 2.5, 150_000),
+    ], ids=["capped-1024x8", "random-50x8"])
+    def test_spans_three_chunks(self, contrasts, scale, n_draws):
+        v = contrasts()
+        k, n = v.shape
+        assert n_draws > 2 * (stats_core._CHUNK_FLOATS // (n + k))
+        rng = RngSpec(7, 2)
+        got = contrast_quantile_mc(v, scale, 0.1, rng, n_draws)
+        want = contrast_quantile_mc_alloc(v, scale, 0.1, rng, n_draws)
+        assert got.value == want.value
+        assert got.mc_std_err == want.mc_std_err
+
+    def test_peak_memory_is_one_chunk(self):
+        # A chunk holds its draw block and one product block; an absolute
+        # value taken out of place would hold a second product block.
+        v = _capped_contrasts()
+        assert v.shape == (1024, 8)
+        contrast_quantile_mc(v, 1.0, 0.1, RngSpec(1), 10_000)   # warm
+        tracemalloc.start()
+        try:
+            contrast_quantile_mc(v, 1.0, 0.1, RngSpec(1), 10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * stats_core._CHUNK_FLOATS * 8
 
 
 class TestContrastQuantileMC:
