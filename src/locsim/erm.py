@@ -93,9 +93,7 @@ def rademacher_mc(losses, rng: RngSpec, n_draws: int = 2000) -> float:
 
     Estimates 2 E sup_f |n^{-1} sum_i sigma_i l(f, z_i)| over random signs
     and adds 3 MC standard errors, so the reported value stays an upper
-    bound at the simulation confidence.  A chunk holds its sign block and
-    one product block, whose absolute values are taken in place; the
-    integer signs are held only while they are turned into floats.
+    bound at the simulation confidence.
     """
     mat = (losses if isinstance(losses, LossMatrix) else LossMatrix(losses)).losses
     if n_draws < 2:
@@ -104,11 +102,8 @@ def rademacher_mc(losses, rng: RngSpec, n_draws: int = 2000) -> float:
     gen = rng.generator()
 
     def draw(take):
-        signs = gen.integers(0, 2, size=(take, n)) * 2.0
-        signs -= 1.0
-        p = signs @ mat
-        np.abs(p, out=p)
-        return p.max(axis=1) / n
+        signs = gen.integers(0, 2, size=(take, n)) * 2.0 - 1.0
+        return np.abs(signs @ mat).max(axis=1) / n
 
     # A row holds its n signs and its F products.
     stats = 2.0 * _draw_stats(n_draws, n + F, draw)

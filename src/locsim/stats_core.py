@@ -45,8 +45,7 @@ _BETTING_GRID_STEP = 1e-3
 # a block's end, so the block trades per-block overhead against capital
 # computed past the drop.
 _BETTING_BLOCK = 32
-# Floats held at once by one chunk of Monte-Carlo draws (32 MB of float64):
-# its draw block and one product block, which is reduced in place.
+# Floats held at once by one chunk of Monte-Carlo draws (32 MB of float64).
 _CHUNK_FLOATS = 4_000_000
 
 
@@ -231,15 +230,11 @@ def _mc_quantile_estimate(stats: np.ndarray, alpha: float, n_draws: int) -> Quan
 def _draw_stats(n_draws: int, row_floats: int, draw) -> np.ndarray:
     """``n_draws`` Monte-Carlo statistics from ``draw(take)``, which returns
     the next ``take``, in chunks of as many rows as fit ``_CHUNK_FLOATS`` at
-    ``row_floats`` floats a row (at least one).  A row's floats are those of
-    its draw block and its one product block, which ``draw`` reduces in
-    place: n + k for the contrasts, n + F for the Rademacher signs.  The
-    max-stat kernel counts its m draws only, so correlated noise briefly
-    holds a second m-wide block for the product with its factor.  Chunking
-    cannot change the draws: each caller's generator fills in order and each
-    statistic reads only its own row.  A BLAS product may still move a
-    statistic's last bits with the row count, since it may block its sums
-    differently; exact sums (0/1 losses, diagonal noise) do not.
+    ``row_floats`` floats a row (at least one).  Chunking cannot change the
+    draws: each caller's generator fills in order and each statistic reads
+    only its own row.  A BLAS product may still move a statistic's last bits
+    with the row count, since it may block its sums differently; exact sums
+    (0/1 losses, diagonal noise) do not.
     """
     rows = max(1, _CHUNK_FLOATS // row_floats)
     return np.concatenate([draw(min(rows, n_draws - start))
@@ -282,8 +277,8 @@ def contrast_quantile_mc(contrasts, noise_scale: float, alpha: float,
                          rng: RngSpec, n_draws: int = DEFAULT_DRAWS) -> QuantileEstimate:
     """MC quantile of sup_v |v^T Z| over a finite contrast set, Z ~ N(0, scale^2 I).
 
-    A chunk holds its draw block, scaled in place, and one product block
-    ``Z V^T``, whose absolute values and row maxima are taken in place.
+    A row of draws holds its n normals and its k products ``Z V^T``, whose
+    absolute values are taken in place.
     """
     v = np.atleast_2d(np.asarray(contrasts, dtype=float))
     if v.size == 0:
@@ -300,8 +295,7 @@ def contrast_quantile_mc(contrasts, noise_scale: float, alpha: float,
     gen = rng.generator()
 
     def draw(take):
-        z = gen.standard_normal((take, n))
-        z *= noise_scale
+        z = noise_scale * gen.standard_normal((take, n))
         p = z @ v.T
         np.abs(p, out=p)
         return np.max(p, axis=1)

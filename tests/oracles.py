@@ -17,9 +17,8 @@ Monte-Carlo pass even when the set is the whole class.  The dense max-stat
 oracle restricts the noise on every call, full set included, and draws
 through the product with the factor even when the noise is diagonal; the
 library's full-set reuse and elementwise scaling must match it bit for bit.
-The allocating contrast and Rademacher kernels scale their draws into a new
-array and take absolute values of the product into another; the library's
-in-place reductions must match them bit for bit.
+The allocating contrast kernel takes the absolute values of its product
+into a new array; the library's in-place reduction must match it bit for bit.
 The loop simplex is the dense Bland simplex with Python loops over rows and
 columns, from the same slack-basis start with one auxiliary column: status,
 value and witness of the array-wise ``lp_maximize`` must match it bit for
@@ -301,8 +300,8 @@ def max_stat_quantile_mc_dense(noise, subset, alpha, rng, n_draws):
 
 
 def contrast_quantile_mc_alloc(contrasts, noise_scale, alpha, rng, n_draws):
-    """MC quantile of sup_v |v^T Z| that allocates the scaled draws and the
-    absolute product as new arrays."""
+    """MC quantile of sup_v |v^T Z| that takes the absolute values of the
+    product into a new array."""
     v = np.atleast_2d(np.asarray(contrasts, dtype=float))
     k, n = v.shape
     gen = rng.generator()
@@ -312,27 +311,6 @@ def contrast_quantile_mc_alloc(contrasts, noise_scale, alpha, rng, n_draws):
         return np.max(np.abs(z @ v.T), axis=1)
 
     return _mc_quantile_estimate(_draw_stats(n_draws, n + k, draw), alpha, n_draws)
-
-
-def rademacher_draws_alloc(mat, rng, n_draws):
-    """The per-draw sup_f |n^{-1} sum_i sigma_i l(f, z_i)| of ``rademacher_mc``
-    on a raw loss matrix, allocating the float signs and the absolute product
-    as new arrays."""
-    mat = np.asarray(mat, dtype=float)
-    n, F = mat.shape
-    gen = rng.generator()
-
-    def draw(take):
-        signs = gen.integers(0, 2, size=(take, n)) * 2.0 - 1.0
-        return np.abs(signs @ mat).max(axis=1) / n
-
-    return _draw_stats(n_draws, n + F, draw)
-
-
-def rademacher_mc_alloc(mat, rng, n_draws):
-    """``rademacher_mc`` on a raw loss matrix from ``rademacher_draws_alloc``."""
-    stats = 2.0 * rademacher_draws_alloc(mat, rng, n_draws)
-    return float(stats.mean() + 3.0 * stats.std(ddof=1) / math.sqrt(n_draws))
 
 
 _LP_TOL = 1e-9

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import locsim.erm as erm_mod
-import locsim.stats_core as stats_core
 from locsim import cli
 from locsim.erm import (
     LocalizedBound,
@@ -18,12 +17,7 @@ from locsim.erm import (
 from locsim.stats_core import RngSpec
 from locsim.theory_core import BudgetSplit
 
-from oracles import (
-    erm_risk_bound_two_pass,
-    exact_rademacher_mean_abs,
-    rademacher_draws_alloc,
-    rademacher_mc_alloc,
-)
+from oracles import erm_risk_bound_two_pass, exact_rademacher_mean_abs
 
 BUDGET = BudgetSplit(0.1, 0.01)
 
@@ -118,22 +112,6 @@ class TestRademacherMC:
         mat = (np.random.default_rng(11).random((60, 7)) < 0.3).astype(float)
         one_row, one_chunk = chunked_both_ways(lambda: rademacher_mc(mat, RngSpec(12), 2000))
         assert one_row == one_chunk
-
-    def test_matches_allocating_oracle_over_three_chunks(self, monkeypatch):
-        # Real-valued losses: the product's sums are rounded, so this pins
-        # that the in-place signs and absolute values keep every bit.  The
-        # mean and deviation can absorb a last-bit change in most draws, so
-        # the draws are compared too.
-        mat = np.random.default_rng(14).uniform(-1.0, 1.0, size=(1000, 50))
-        n_draws = 8000
-        assert n_draws > 2 * (stats_core._CHUNK_FLOATS // (1000 + 50))
-        draws = []
-        real = erm_mod._draw_stats
-        monkeypatch.setattr(erm_mod, "_draw_stats",
-                            lambda *args: draws.append(real(*args)) or draws[-1])
-        got = rademacher_mc(mat, RngSpec(15), n_draws)
-        assert np.array_equal(draws[0], rademacher_draws_alloc(mat, RngSpec(15), n_draws))
-        assert got == rademacher_mc_alloc(mat, RngSpec(15), n_draws)
 
     def test_row_width_is_signs_plus_products(self, monkeypatch):
         # 5000 x 500 is 2.5e6 entries; a row of draws is 5500 floats, so all

@@ -4,16 +4,15 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
 
 import locsim
+import locsim.lasso as lasso
 import locsim.stats_core as stats_core
 
 from locsim.experiments import rbf_covariance
-from locsim.lasso import Design
 from locsim.stats_core import (
     CovarianceError,
     GaussianNoise,
@@ -30,6 +29,7 @@ from locsim.stats_core import (
     max_stat_quantile_mc,
     normal_quantile,
 )
+from locsim.theory_core import BudgetSplit
 
 from oracles import (
     bentkus_width_binom,
@@ -228,31 +228,38 @@ def test_max_stat_chunk_invariant(chunked_both_ways, kind):
     assert one_row == one_chunk
 
 
-def _capped_contrasts(d=8, n=200, seed=0):
-    """posi_intervals' contrast set over every nonempty support of a lasso
-    runner's design (n x d normals, unit columns): d 2^(d-1) rows."""
-    X = np.random.default_rng(seed).standard_normal((n, d))
+@pytest.fixture(scope="module")
+def capped_contrasts():
+    """The contrast set ``posi_intervals`` builds over every support of a
+    lasso runner-like design (200 x 8 normals, unit columns), recorded
+    from its call to the contrast kernel."""
+    X = np.random.default_rng(0).standard_normal((200, 8))
     X /= np.linalg.norm(X, axis=0)
-    design = Design(X)
-    L = design.gram_factor()
-    reps = []
-    for size in range(1, d + 1):
-        for M in combinations(range(d), size):
-            inv = design.gram_inverse(M)
-            reps.append(inv @ L[list(M), :] / np.sqrt(np.diag(inv))[:, None])
-    return np.vstack(reps)
+    seen = []
+
+    def record(contrasts, *args):
+        seen.append(contrasts)
+        return contrast_quantile_mc(contrasts, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lasso, "contrast_quantile_mc", record)
+        lasso.posi_intervals(lasso.Design(X), np.zeros(200),
+                             lasso.ModelSignPair((0,), (1,)), lasso._all_models(8),
+                             BudgetSplit(0.1, 0.01), 1.0, RngSpec(0), 1000)
+    return seen[0]
 
 
 class TestContrastMatchesAllocatingOracle:
-    """Scaling the draws and reducing the product in place keep every bit
-    of the kernel that allocates both."""
+    """Reducing the product in place keeps every bit of the kernel that
+    allocates its absolute values."""
 
-    @pytest.mark.parametrize("contrasts, scale, n_draws", [
-        (_capped_contrasts, 1.0, 10_000),
-        (lambda: np.random.default_rng(3).standard_normal((50, 8)), 2.5, 150_000),
+    @pytest.mark.parametrize("which, scale, n_draws", [
+        ("capped", 1.0, 10_000),
+        ("random", 2.5, 150_000),
     ], ids=["capped-1024x8", "random-50x8"])
-    def test_spans_three_chunks(self, contrasts, scale, n_draws):
-        v = contrasts()
+    def test_spans_three_chunks(self, capped_contrasts, which, scale, n_draws):
+        v = (capped_contrasts if which == "capped"
+             else np.random.default_rng(3).standard_normal((50, 8)))
         k, n = v.shape
         assert n_draws > 2 * (stats_core._CHUNK_FLOATS // (n + k))
         rng = RngSpec(7, 2)
@@ -261,10 +268,10 @@ class TestContrastMatchesAllocatingOracle:
         assert got.value == want.value
         assert got.mc_std_err == want.mc_std_err
 
-    def test_peak_memory_is_one_chunk(self):
-        # A chunk holds its draw block and one product block; an absolute
-        # value taken out of place would hold a second product block.
-        v = _capped_contrasts()
+    def test_peak_memory_is_one_chunk(self, capped_contrasts):
+        # A chunk holds its draws and one product block; an absolute value
+        # taken out of place would hold a second product block.
+        v = capped_contrasts
         assert v.shape == (1024, 8)
         contrast_quantile_mc(v, 1.0, 0.1, RngSpec(1), 10_000)   # warm
         tracemalloc.start()
