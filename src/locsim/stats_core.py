@@ -45,8 +45,14 @@ _BETTING_GRID_STEP = 1e-3
 # a block's end, so the block trades per-block overhead against capital
 # computed past the drop.
 _BETTING_BLOCK = 32
-# Floats held at once by one chunk of Monte-Carlo draws (32 MB of float64).
-_CHUNK_FLOATS = 4_000_000
+# A chunk of Monte-Carlo draws holds at most ``_CHUNK_FLOATS`` floats (1 MiB
+# of float64), so its draw, product and reduction stay in L2 instead of
+# streaming through main memory once per pass.  It holds at least
+# ``_CHUNK_MIN_ROWS`` rows: each BLAS call packs its shared operand (the RBF
+# factor, the contrast matrix, the loss matrix) once, and few-row chunks
+# would re-pack a large operand for every few draws.
+_CHUNK_FLOATS = 131_072
+_CHUNK_MIN_ROWS = 128
 
 
 class CovarianceError(ValueError):
@@ -230,13 +236,16 @@ def _mc_quantile_estimate(stats: np.ndarray, alpha: float, n_draws: int) -> Quan
 def _draw_stats(n_draws: int, row_floats: int, draw) -> np.ndarray:
     """``n_draws`` Monte-Carlo statistics from ``draw(take)``, which returns
     the next ``take``, in chunks of as many rows as fit ``_CHUNK_FLOATS`` at
-    ``row_floats`` floats a row (at least one).  Chunking cannot change the
-    draws: each caller's generator fills in order and each statistic reads
-    only its own row.  A BLAS product may still move a statistic's last bits
-    with the row count, since it may block its sums differently; exact sums
-    (0/1 losses, diagonal noise) do not.
+    ``row_floats`` floats a row, and never fewer than ``_CHUNK_MIN_ROWS``.
+    A chunk holds one block of draws and whatever its caller computes from
+    them; the float bound keeps that block in L2, and the row floor keeps a
+    BLAS call from re-packing its shared operand for every few rows.
+    Chunking cannot change the draws: each caller's generator fills in order
+    and each statistic reads only its own row.  A BLAS product may still move
+    a statistic's last bits with the row count, since it may block its sums
+    differently; exact sums (0/1 losses, diagonal noise) do not.
     """
-    rows = max(1, _CHUNK_FLOATS // row_floats)
+    rows = max(_CHUNK_MIN_ROWS, _CHUNK_FLOATS // row_floats)
     return np.concatenate([draw(min(rows, n_draws - start))
                            for start in range(0, n_draws, rows)])
 
@@ -249,7 +258,9 @@ def max_stat_quantile_mc(noise: GaussianNoise, subset, alpha: float,
     are recovered by multiplying back by the marginal scales.  The full set
     reuses ``noise`` and its factor; diagonal noise is scaled elementwise
     (see ``GaussianNoise``), with the same draws and the same bits as the
-    product with its factor.
+    product with its factor.  A row of draws counts one float per subset
+    coordinate; correlated noise holds a second block of the same size, the
+    normals times the factor.
     """
     idx = np.unique(np.asarray(subset, dtype=int))
     if idx.size == 0:

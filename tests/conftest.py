@@ -10,6 +10,7 @@ def chunked_both_ways(monkeypatch):
 
     def both(run):
         monkeypatch.setattr(stats_core, "_CHUNK_FLOATS", 1)
+        monkeypatch.setattr(stats_core, "_CHUNK_MIN_ROWS", 1)
         one_row = run()
         monkeypatch.setattr(stats_core, "_CHUNK_FLOATS", 10**12)
         return one_row, run()

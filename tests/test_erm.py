@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import locsim.erm as erm_mod
+import locsim.stats_core as stats_core
 from locsim import cli
 from locsim.erm import (
     LocalizedBound,
@@ -113,18 +114,32 @@ class TestRademacherMC:
         one_row, one_chunk = chunked_both_ways(lambda: rademacher_mc(mat, RngSpec(12), 2000))
         assert one_row == one_chunk
 
-    def test_row_width_is_signs_plus_products(self, monkeypatch):
-        # 5000 x 500 is 2.5e6 entries; a row of draws is 5500 floats, so all
-        # 50 draws fit one chunk.
+    @staticmethod
+    def _takes(mat, n_draws):
         takes = []
         real = erm_mod._draw_stats
 
         def spy(n_draws, row_floats, draw):
             return real(n_draws, row_floats, lambda take: takes.append(take) or draw(take))
 
-        monkeypatch.setattr(erm_mod, "_draw_stats", spy)
-        rademacher_mc(np.zeros((5000, 500)), RngSpec(13), 50)
-        assert takes == [50]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(erm_mod, "_draw_stats", spy)
+            rademacher_mc(mat, RngSpec(13), n_draws)
+        return takes
+
+    def test_row_width_is_signs_plus_products(self, monkeypatch):
+        # A 5000 x 500 matrix gives rows of 5000 signs and 500 products, so
+        # 50 draws fill one chunk of 50 * 5500 floats and overflow one less.
+        monkeypatch.setattr(stats_core, "_CHUNK_MIN_ROWS", 1)
+        mat = np.zeros((5000, 500))
+        monkeypatch.setattr(stats_core, "_CHUNK_FLOATS", 50 * 5500)
+        assert self._takes(mat, 50) == [50]
+        monkeypatch.setattr(stats_core, "_CHUNK_FLOATS", 50 * 5500 - 1)
+        assert self._takes(mat, 50) == [49, 1]
+
+    def test_chunks_keep_the_row_floor(self):
+        # Rows of 20500 floats fit six to a chunk; the floor takes 128.
+        assert self._takes(np.zeros((20000, 500)), 300) == [128, 128, 44]
 
     def test_empty_subset_rejected(self):
         nan = np.zeros((10, 3))

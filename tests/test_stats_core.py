@@ -12,6 +12,7 @@ import locsim
 import locsim.lasso as lasso
 import locsim.stats_core as stats_core
 
+from locsim.erm import rademacher_mc
 from locsim.experiments import rbf_covariance
 from locsim.stats_core import (
     CovarianceError,
@@ -185,6 +186,35 @@ class TestMaxStatQuantileMC:
             max_stat_quantile_mc(noise, [0], 0.1, RngSpec(0), 500)
 
 
+def _chunk_rows(row_floats):
+    """Rows in one chunk of ``stats_core._draw_stats`` at this row width."""
+    return max(stats_core._CHUNK_MIN_ROWS, stats_core._CHUNK_FLOATS // row_floats)
+
+
+def _warm_peak(run):
+    """Tracemalloc's peak bytes over ``run()``, called once beforehand."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def rbf1000():
+    return GaussianNoise(rbf_covariance(1000, 20.0))
+
+
+def test_rbf_peak_memory_is_two_blocks(rbf1000):
+    # A chunk of correlated draws holds its normals and their product with
+    # the factor: two blocks of at most _CHUNK_FLOATS floats.
+    peak = _warm_peak(
+        lambda: max_stat_quantile_mc(rbf1000, range(1000), 0.1, RngSpec(1), 10_000))
+    assert peak <= 2.2 * stats_core._CHUNK_FLOATS * 8
+
+
 _COVARIANCES = {
     "iid": lambda m: np.eye(m),
     "iid-2.5": lambda m: 2.5**2 * np.eye(m),
@@ -261,7 +291,7 @@ class TestContrastMatchesAllocatingOracle:
         v = (capped_contrasts if which == "capped"
              else np.random.default_rng(3).standard_normal((50, 8)))
         k, n = v.shape
-        assert n_draws > 2 * (stats_core._CHUNK_FLOATS // (n + k))
+        assert n_draws > 2 * _chunk_rows(n + k)
         rng = RngSpec(7, 2)
         got = contrast_quantile_mc(v, scale, 0.1, rng, n_draws)
         want = contrast_quantile_mc_alloc(v, scale, 0.1, rng, n_draws)
@@ -273,14 +303,45 @@ class TestContrastMatchesAllocatingOracle:
         # taken out of place would hold a second product block.
         v = capped_contrasts
         assert v.shape == (1024, 8)
-        contrast_quantile_mc(v, 1.0, 0.1, RngSpec(1), 10_000)   # warm
-        tracemalloc.start()
-        try:
-            contrast_quantile_mc(v, 1.0, 0.1, RngSpec(1), 10_000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * stats_core._CHUNK_FLOATS * 8
+        k, n = v.shape
+        peak = _warm_peak(lambda: contrast_quantile_mc(v, 1.0, 0.1, RngSpec(1), 10_000))
+        assert peak <= 1.1 * _chunk_rows(n + k) * (n + k) * 8
+
+
+class TestChunkSizeKeepsBits:
+    """Cache-sized chunks give every statistic of 32 MB chunks with no row
+    floor bit for bit, on inputs where the two chunkings differ."""
+
+    @staticmethod
+    def _check(monkeypatch, run):
+        got = run()
+        monkeypatch.setattr(stats_core, "_CHUNK_FLOATS", 4_000_000)
+        monkeypatch.setattr(stats_core, "_CHUNK_MIN_ROWS", 1)
+        want = run()
+        if isinstance(got, float):
+            assert got == want
+        else:
+            assert got.value == want.value
+            assert got.mc_std_err == want.mc_std_err
+
+    @pytest.mark.parametrize("n_draws", [10_000, 20_000])
+    def test_capped_contrasts(self, monkeypatch, capped_contrasts, n_draws):
+        self._check(monkeypatch, lambda: contrast_quantile_mc(
+            capped_contrasts, 1.0, 0.1, RngSpec(5), n_draws))
+
+    @pytest.mark.parametrize("kind", ["iid", "hetero", "rbf"])
+    @pytest.mark.parametrize("full", [True, False])
+    def test_max_stat_m1000(self, monkeypatch, rbf1000, kind, full):
+        noise = rbf1000 if kind == "rbf" else GaussianNoise(_COVARIANCES[kind](1000))
+        subset = range(1000) if full else np.arange(0, 1000, 3)
+        self._check(monkeypatch, lambda: max_stat_quantile_mc(
+            noise, subset, 0.1, RngSpec(6, 1), 10_000))
+
+    @pytest.mark.parametrize("shape", [(5000, 500), (20000, 120)],
+                             ids=["5000x500", "20000x120"])
+    def test_rademacher(self, monkeypatch, shape):
+        mat = np.random.default_rng(8).uniform(-1.0, 1.0, shape)
+        self._check(monkeypatch, lambda: rademacher_mc(mat, RngSpec(9), 2000))
 
 
 class TestContrastQuantileMC:
