@@ -181,15 +181,26 @@ class ExperimentConfig:
                                                  self.m_grid):
                 generate_mu_reference_scaled(int(m), float(theta), float(C))
         elif runner is run_winner_np:
+            if any(n < 2 for n in self.n_grid):
+                raise ConfigError("winner-np needs every n_grid entry >= 2, "
+                                  f"got {self.n_grid!r}")
+            for key in ("beta_a", "beta_b"):
+                if not 0.0 < getattr(self, key) < math.inf:
+                    raise ConfigError(f"winner-np needs a finite positive {key}, "
+                                      f"got {getattr(self, key)!r}")
+            if not 0.0 <= self.signal_frac <= 1.0:
+                raise ConfigError("winner-np needs signal_frac in [0, 1], "
+                                  f"got {self.signal_frac!r}")
             for theta in self.theta_grid:
                 generate_mu(self.m, float(theta), 1.0)
-        elif runner is run_lasso and not (self.d >= 1 and 0.0 <= self.sparsity <= 1.0
+        elif runner is run_lasso and not (self.d >= 1 and self.n >= 1
+                                          and 0.0 <= self.sparsity <= 1.0
                                           and 0.0 < self.lambda0 < math.inf
                                           and 0.0 < self.sigma < math.inf):
-            raise ConfigError("lasso needs d >= 1, sparsity in [0, 1] and finite positive "
-                              f"lambda0 and sigma, got d = {self.d!r}, sparsity = "
-                              f"{self.sparsity!r}, lambda0 = {self.lambda0!r}, "
-                              f"sigma = {self.sigma!r}")
+            raise ConfigError("lasso needs d >= 1, n >= 1, sparsity in [0, 1] and finite "
+                              f"positive lambda0 and sigma, got d = {self.d!r}, n = "
+                              f"{self.n!r}, sparsity = {self.sparsity!r}, lambda0 = "
+                              f"{self.lambda0!r}, sigma = {self.sigma!r}")
         elif runner is run_figure1 and not all(isinstance(v, numbers.Real)
                                                and math.isfinite(v) for v in self.delta_grid):
             raise ConfigError(f"delta_grid entries must be finite, got {self.delta_grid!r}")

@@ -41,6 +41,7 @@ __all__ = [
     "posi_intervals",
     "marginal_screening_plausible",
     "column_max_quantile",
+    "projection_truth",
 ]
 
 _RANK_TOL = 1e-8

@@ -25,6 +25,7 @@ __all__ = [
     "s_tau",
     "cap_quantile",
     "sphere_interval",
+    "cap_angle",
 ]
 
 

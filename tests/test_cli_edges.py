@@ -2,6 +2,7 @@
 (configuration error) or 3 (numerical failure), never in a traceback."""
 
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -122,3 +123,24 @@ def test_empty_loss_matrix(key, axis, capsys):
 @pytest.mark.parametrize("kind", ["winner-np", "filedrawer-np", "erm"])
 def test_empty_csv(kind):
     assert _exit_code(kind, data="") == 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind, key, value", [
+    ("lasso", "n", "0"),
+    ("winner-np", "n_grid", "1"),
+    ("winner-np", "n_grid", "100, 1"),
+    ("winner-np", "beta_a", "0"),
+    ("winner-np", "beta_b", "inf"),
+    ("winner-np", "beta_b", "nan"),
+    ("winner-np", "signal_frac", "1.5"),
+    ("winner-np", "signal_frac", "-0.1"),
+])
+def test_bad_setting_rejected_before_any_cell(kind, key, value, tmp_path, capsys):
+    # A setting that would fail inside a cell is refused before the first one.
+    path, out = tmp_path / "c.cfg", tmp_path / "out.csv"
+    path.write_text(f"{key} = {value}\n")
+    argv = [kind, "--trials", "2", "--config", str(path), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+    assert not out.exists()

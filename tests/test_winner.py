@@ -10,6 +10,7 @@ from locsim.theory_core import BudgetSplit
 from locsim.winner import (
     FileDrawerProblem,
     IntervalSet,
+    PlausibleSet,
     SampleMatrix,
     WinnerProblem,
     conditional_winner_interval,
@@ -32,6 +33,17 @@ from oracles import (
 )
 
 BUDGET = BudgetSplit(0.1, 0.01)
+
+
+class TestPlausibleSet:
+    def test_realized_must_be_plausible(self):
+        with pytest.raises(ValueError, match="realized selection"):
+            PlausibleSet(np.array([0, 1]), np.array([3]), 1.0)
+
+    @pytest.mark.parametrize("margin", [-1e-12, -1.0, math.nan])
+    def test_margin_must_be_nonnegative(self, margin):
+        with pytest.raises(ValueError, match="margin"):
+            PlausibleSet(np.array([0, 1]), np.array([0]), margin)
 
 
 class TestPlausibleWinnerSet:
