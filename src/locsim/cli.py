@@ -18,7 +18,6 @@ import numpy as np
 from .experiments import (
     DATA_KINDS,
     KINDS,
-    ConfigError,
     ExperimentConfig,
     apply_env_seed,
     load_config,
@@ -64,14 +63,9 @@ def config_from_args(args) -> ExperimentConfig:
     if args.config:
         cfg = load_config(args.config, base=cfg)
         cfg = replace(cfg, kind=args.kind)
-    overrides = {}
-    for key in ("out", "seed", "trials", "alpha", "nu", "data", "threshold", "problem"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return apply_env_seed(cfg)
+    overrides = {key: value for key, value in vars(args).items()
+                 if key not in ("kind", "config") and value is not None}
+    return apply_env_seed(replace(cfg, **overrides))
 
 
 def _print_summary(rows, out) -> None:
@@ -92,14 +86,13 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         rows = run_experiment(cfg)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except _NUMERICAL_ERRORS as exc:
+        # Caught first: DegeneracyError and CovarianceError are ValueErrors.
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
-        # Bad user inputs (malformed data files, out-of-range values).
+    except (ValueError, FileNotFoundError) as exc:
+        # ConfigError and bad user inputs (malformed data files,
+        # out-of-range values).
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     _print_summary(rows, cfg.out)

@@ -386,32 +386,36 @@ def rbf_covariance(m: int, phi: float) -> np.ndarray:
 # Shared helpers for the simulation runners
 # ---------------------------------------------------------------------------
 
-def _width_row(scenario, method, widths, covered, runtime_ms, **params) -> ResultRow:
-    widths = np.asarray(widths, dtype=float)
-    widths = widths[~np.isnan(widths)]
-    if widths.size == 0:
-        med = q05 = q95 = None
-    else:
-        # Order statistics, no interpolation: infinite widths (degenerate
-        # conditional intervals) stay representable.
-        med = float(np.quantile(widths, 0.5, method="lower"))
-        q05 = float(np.quantile(widths, 0.05, method="lower"))
-        q95 = float(np.quantile(widths, 0.95, method="lower"))
-    cov = float(np.mean(covered)) if covered is not None else None
-    return ResultRow(scenario, method, median_width=med, q05_width=q05,
-                     q95_width=q95, coverage=cov, runtime_ms=runtime_ms, **params)
+def _cell_rows(scenario, arms, t0, **params):
+    """One row per arm of a cell, in arm order, each stamped with the cell's
+    wall time since ``t0``.
 
-
-def _cell_rows(scenario, widths, covered, t0, **params):
-    """One row per method of a cell, each stamped with the cell's wall time
-    since ``t0``."""
+    ``arms`` maps each method to (widths, covered), one entry per trial.  A
+    NaN width stays out of the width quantiles, but its trial still counts
+    in coverage; ``covered=None`` leaves the coverage cell empty.
+    """
     ms = int(1000 * (time.perf_counter() - t0))
-    return [_width_row(scenario, method, widths[method], covered[method], ms, **params)
-            for method in widths]
+    rows = []
+    for method, (widths, covered) in arms.items():
+        widths = np.asarray(widths, dtype=float)
+        widths = widths[~np.isnan(widths)]
+        if widths.size == 0:
+            med = q05 = q95 = None
+        else:
+            # Order statistics, no interpolation: infinite widths (degenerate
+            # conditional intervals) stay representable.
+            med = float(np.quantile(widths, 0.5, method="lower"))
+            q05 = float(np.quantile(widths, 0.05, method="lower"))
+            q95 = float(np.quantile(widths, 0.95, method="lower"))
+        cov = float(np.mean(covered)) if covered is not None else None
+        rows.append(ResultRow(scenario, method, median_width=med, q05_width=q05,
+                              q95_width=q95, coverage=cov, runtime_ms=ms, **params))
+    return rows
 
 
 def _conditional_arm(ys, sigma, alpha, truth):
-    """Widths and coverage of the conditional interval on (trials, m) outcomes."""
+    """The conditional interval's arm, (widths, covered), on (trials, m)
+    outcomes."""
     lo, hi = conditional_winner_interval(ys, sigma, alpha)
     with np.errstate(invalid="ignore"):  # both ends at one infinity: width nan
         return hi - lo, (lo <= truth) & (truth <= hi)
@@ -435,14 +439,12 @@ def run_figure1(config: ExperimentConfig):
         top, truth = ys.max(axis=1), mu[ys.argmax(axis=1)]
         local = np.array([two_candidate_interval(y, budget, 1.0).half_widths[0]
                           for y in ys])
-        cond_w, cond_hit = _conditional_arm(ys, 1.0, alpha, truth)
-        widths = {"local": 2.0 * local, "simultaneous": np.full(len(ys), q_sim),
-                  "conditional": cond_w, "nominal": np.full(len(ys), q_nom)}
-        covered = {"local": np.abs(truth - top) <= local,
-                   "simultaneous": np.abs(truth - top) <= q_sim / 2.0,
-                   "conditional": cond_hit,
-                   "nominal": np.abs(truth - top) <= q_nom / 2.0}
-        rows.extend(_cell_rows(f"figure1:delta={delta:g}", widths, covered, t0))
+        err = np.abs(truth - top)
+        arms = {"local": (2.0 * local, err <= local),
+                "simultaneous": (np.full(len(ys), q_sim), err <= q_sim / 2.0),
+                "conditional": _conditional_arm(ys, 1.0, alpha, truth),
+                "nominal": (np.full(len(ys), q_nom), err <= q_nom / 2.0)}
+        rows.extend(_cell_rows(f"figure1:delta={delta:g}", arms, t0))
     return rows
 
 
@@ -503,12 +505,10 @@ def _winner_trials(config, budget, mu, ys, q, cov_kind):
     halves = {"local": np.array([q(budget.inference_level, mask) for mask in masks]),
               "simultaneous": np.full(len(ys), q(alpha)),
               "nominal": np.full(len(ys), max_abs_quantile_iid(1, alpha))}
-    widths = {k: 2.0 * h for k, h in halves.items()}
-    covered = {k: np.abs(top - truth) <= h for k, h in halves.items()}
+    arms = {k: (2.0 * h, np.abs(top - truth) <= h) for k, h in halves.items()}
     if cov_kind == "iid":
-        widths["conditional"], covered["conditional"] = _conditional_arm(
-            ys, 1.0, alpha, truth)
-    return widths, covered
+        arms["conditional"] = _conditional_arm(ys, 1.0, alpha, truth)
+    return arms
 
 
 def _filedrawer_trials(config, budget, mu, ys, q, cov_kind):
@@ -521,13 +521,12 @@ def _filedrawer_trials(config, budget, mu, ys, q, cov_kind):
                                  for mask, h in zip(masks, hit)]),
               "simultaneous": np.where(hit, q(budget.alpha), np.nan)}
     worst = np.where(realized, np.abs(ys - mu), -np.inf).max(axis=1)
-    widths = {k: 2.0 * h for k, h in halves.items()}
-    covered = {k: ~hit | (worst <= h) for k, h in halves.items()}
-    return widths, covered
+    return {k: (2.0 * h, ~hit | (worst <= h)) for k, h in halves.items()}
 
 
 def _run_grid(config, scenario, trials_fn, stream):
-    """Rows of the (cov_kind, theta, C, m) grid; cell k draws from stream + k."""
+    """Rows of the (cov_kind, theta, C, m) grid; cell k draws from stream + k,
+    and ``trials_fn`` gives its arms, {method: (widths, covered)}."""
     budget = config.budget()
     rows = []
     for cov_kind, theta, C, m in itertools.product(
@@ -536,9 +535,9 @@ def _run_grid(config, scenario, trials_fn, stream):
         t0 = time.perf_counter()
         mu, ys, q = _cell_outcomes(config, theta, C, m, cov_kind, stream)
         stream += 1
-        widths, covered = trials_fn(config, budget, mu, ys, q, cov_kind)
+        arms = trials_fn(config, budget, mu, ys, q, cov_kind)
         phi = config.phi if cov_kind == "rbf" else None
-        rows.extend(_cell_rows(f"{scenario}:{cov_kind}", widths, covered, t0,
+        rows.extend(_cell_rows(f"{scenario}:{cov_kind}", arms, t0,
                                param_theta=theta, param_C=C, param_m=m, param_phi=phi))
     return rows
 
@@ -573,9 +572,9 @@ def _np_draws(config, n, theta, gen):
 
 
 def _np_winner_cell(config, budget, n, theta, gen):
-    """Widths and coverage of one winner-np cell, keyed in CSV row order:
-    one library CI call per trial at the local, simultaneous and nominal
-    levels, and one conditional batch for the cell."""
+    """Arms of one winner-np cell, {method: (widths, covered)} in CSV row
+    order: one library CI call per trial at the local, simultaneous and
+    nominal levels, and one conditional batch for the cell."""
     ci = _CI_FNS[config.ci_kind]
     margin = _np_margin(n, config.m, budget, config.bound_kind)
     records = []
@@ -587,11 +586,10 @@ def _np_winner_cell(config, budget, n, theta, gen):
     # lo and hi are (trials, 3 levels); means is (trials, m).
     lo, hi, means, sds, truths = (np.array(v) for v in zip(*records))
     width, hit = hi - lo, (lo <= truths[:, None]) & (truths[:, None] <= hi)
-    cond_w, cond_hit = _conditional_arm(means, sds, budget.alpha, truths)
-    return ({"local": width[:, 0], "simultaneous": width[:, 1],
-             "conditional": cond_w, "nominal": width[:, 2]},
-            {"local": hit[:, 0], "simultaneous": hit[:, 1],
-             "conditional": cond_hit, "nominal": hit[:, 2]})
+    return {"local": (width[:, 0], hit[:, 0]),
+            "simultaneous": (width[:, 1], hit[:, 1]),
+            "conditional": _conditional_arm(means, sds, budget.alpha, truths),
+            "nominal": (width[:, 2], hit[:, 2])}
 
 
 def run_winner_np(config: ExperimentConfig):
@@ -601,8 +599,8 @@ def run_winner_np(config: ExperimentConfig):
     for stream, (n, theta) in enumerate(cells, start=3000):
         t0 = time.perf_counter()
         gen = RngSpec(config.seed, stream).generator()
-        widths, covered = _np_winner_cell(config, budget, n, theta, gen)
-        rows.extend(_cell_rows(f"winner-np:n={n}", widths, covered, t0,
+        arms = _np_winner_cell(config, budget, n, theta, gen)
+        rows.extend(_cell_rows(f"winner-np:n={n}", arms, t0,
                                param_theta=theta, param_m=config.m))
     return rows
 
@@ -670,9 +668,8 @@ def run_lasso(config: ExperimentConfig):
         truth = projection_truth(design, pair.M, mu)
         covered.append(bool(np.all(np.abs(truth - iv.centers) <= iv.half_widths)))
         widths.append(float(np.median(iv.widths)))
-    ms = int(1000 * (time.perf_counter() - t0))
-    return [_width_row("lasso", "local", widths, covered, ms,
-                       param_theta=config.lambda0, param_m=config.d)]
+    return _cell_rows("lasso", {"local": (widths, covered)}, t0,
+                      param_theta=config.lambda0, param_m=config.d)
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +690,7 @@ def run_erm(config: ExperimentConfig):
         pop_risk = means[res.erm_index]
         holds.append(pop_risk <= res.bound)
         slacks.append(res.bound - res.erm_risk)
-    ms = int(1000 * (time.perf_counter() - t0))
-    return [_width_row("erm", "local", slacks, holds, ms, param_m=F)]
+    return _cell_rows("erm", {"local": (slacks, holds)}, t0, param_m=F)
 
 
 def _run_erm_on_data(config: ExperimentConfig):
@@ -702,9 +698,8 @@ def _run_erm_on_data(config: ExperimentConfig):
     lm = load_loss_matrix(config.data)
     t0 = time.perf_counter()
     res = erm_risk_bound(lm, config.budget(), RngSpec(config.seed, 5000), 2000)
-    ms = int(1000 * (time.perf_counter() - t0))
-    return [_width_row("erm:data", "local", [res.bound - res.erm_risk], None, ms,
-                       param_m=lm.n_hypotheses)]
+    return _cell_rows("erm:data", {"local": ([res.bound - res.erm_risk], None)}, t0,
+                      param_m=lm.n_hypotheses)
 
 
 # ---------------------------------------------------------------------------
@@ -732,12 +727,11 @@ def run_sphere(config: ExperimentConfig):
         # Row by row: a norm along axis 1 sums in another order.
         norms = np.array([np.linalg.norm(y) for y in ys])
         truth = np.array([(y / norm) @ mu for y, norm in zip(ys, norms)])
-        widths = {"local": hi - lo, "simultaneous": np.full(len(ys), 2.0 * scheffe),
-                  "nominal": np.full(len(ys), 2.0 * nominal)}
-        covered = {"local": (lo <= truth) & (truth <= hi),
-                   "simultaneous": np.abs(norms - truth) <= scheffe,
-                   "nominal": np.abs(norms - truth) <= nominal}
-        rows.extend(_cell_rows("sphere", widths, covered, t0, param_m=d))
+        err = np.abs(norms - truth)
+        arms = {"local": (hi - lo, (lo <= truth) & (truth <= hi)),
+                "simultaneous": (np.full(len(ys), 2.0 * scheffe), err <= scheffe),
+                "nominal": (np.full(len(ys), 2.0 * nominal), err <= nominal)}
+        rows.extend(_cell_rows("sphere", arms, t0, param_m=d))
     return rows
 
 

@@ -16,6 +16,7 @@ with X^T.
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -58,9 +59,10 @@ class SolverError(RuntimeError):
     """Coordinate descent failed to converge or violated its KKT check."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ModelSignPair:
-    """Canonical LASSO selection state: sorted support M and aligned signs."""
+    """Canonical LASSO selection state: sorted support M and aligned signs,
+    ordered by (M, s)."""
 
     M: tuple
     s: tuple
@@ -82,9 +84,7 @@ class ModelSignPair:
         return ModelSignPair(self.M[:k] + self.M[k + 1:], self.s[:k] + self.s[k + 1:])
 
     def add(self, j: int, sign: int) -> "ModelSignPair":
-        pos = 0
-        while pos < len(self.M) and self.M[pos] < j:
-            pos += 1
+        pos = bisect.bisect_left(self.M, j)
         return ModelSignPair(self.M[:pos] + (j,) + self.M[pos:],
                              self.s[:pos] + (sign,) + self.s[pos:])
 
@@ -217,7 +217,8 @@ def _selection_event(design: Design, pair: ModelSignPair, lam: float):
     """Selection event of a model-sign pair in u = X^T y coordinates.
 
     Returns (event, faces): the polyhedron {u : A u <= b} and, for each row,
-    the pair across that face, tagged ("enter", j, sign) or ("leave", j).
+    the (variable, sign) pair across that face: (j, +-1) where j enters the
+    model with that sign, (j, 0) where j leaves it.
     Row order: one (+) row per inactive variable ascending, then the (-)
     rows in the same order, then one row per active variable in support
     order.
@@ -237,8 +238,7 @@ def _selection_event(design: Design, pair: ModelSignPair, lam: float):
     leave[:, M] = -s[:, None] * inv
     event = Polyhedron(np.vstack([enter, -enter, leave]),
                        np.concatenate([offset, 2.0 - offset, -lam * s * (inv @ s)]))
-    faces = ([("enter", j, +1) for j in Mc] + [("enter", j, -1) for j in Mc]
-             + [("leave", j) for j in M])
+    faces = [(j, +1) for j in Mc] + [(j, -1) for j in Mc] + [(j, 0) for j in M]
     return event, faces
 
 
@@ -279,23 +279,22 @@ def safe_screening(design: Design, y, pair: ModelSignPair, lam: float, s_nu: flo
     u = design.X.T @ np.asarray(y, dtype=float)
     event, faces = _selection_event(design, pair, lam)
     reached = event.A @ u + s_nu * np.abs(event.A).sum(axis=1) >= event.b
-    flips = {face[1] for face, hit in zip(faces, reached) if hit}
+    flips = {j for (j, _), hit in zip(faces, reached) if hit}
     return set(pair.M) - flips, set(range(design.d)) - set(pair.M) - flips
 
 
 def _neighbors(design: Design, pair: ModelSignPair, lam: float, box: Polyhedron, safe,
                seen=frozenset()):
     """(neighbors, LPs run): the pairs across the faces of the pair's event
-    that are active within the box, one LP per face not screened by the
-    safe sets (safe_in, safe_out) and not leading to a pair in ``seen``."""
-    safe_in, safe_out = safe
+    that are active within the box, one LP per face whose variable is not
+    in the set ``safe`` and that does not lead to a pair in ``seen``."""
     event, faces = _selection_event(design, pair, lam)
     neighbors = set()
     n_lps = 0
-    for i, face in enumerate(faces):
-        if face[1] in (safe_out if face[0] == "enter" else safe_in):
+    for i, (j, sign) in enumerate(faces):
+        if j in safe:
             continue
-        across = pair.add(face[1], face[2]) if face[0] == "enter" else pair.drop(face[1])
+        across = pair.add(j, sign) if sign else pair.drop(j)
         if across in seen:
             continue
         n_lps += 1
@@ -312,7 +311,7 @@ def exact_screening(design: Design, y, pair: ModelSignPair, lam: float, s_nu: fl
     per test; an active constraint names the pair on the other side of its
     face.
     """
-    return _neighbors(design, pair, lam, _box(design, y, s_nu), (set(), set()))[0]
+    return _neighbors(design, pair, lam, _box(design, y, s_nu), set())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +361,13 @@ def enumerate_plausible_models(design: Design, y, lam: float, s_nu: float,
     while todo:
         pair = todo.popleft()
         visited.append(pair)
-        safe = safe_screening(design, y, pair, lam, s_nu) if use_safe else (set(), set())
-        safe_skips += len(safe[0]) + len(safe[1])
+        # safe_in and safe_out split by support, so a variable in their
+        # union is safe on each of its faces.
+        safe = set().union(*safe_screening(design, y, pair, lam, s_nu)) if use_safe else set()
+        safe_skips += len(safe)
         neighbors, n_lps = _neighbors(design, pair, lam, box, safe, seen)
         lp_count += n_lps
-        for nb in sorted(neighbors, key=lambda p: (p.M, p.s)):
+        for nb in sorted(neighbors):
             seen.add(nb)
             todo.append(nb)
         if len(seen) > p_max:
@@ -411,16 +412,14 @@ def posi_intervals(design: Design, y, selected: ModelSignPair, models,
     contrasts = np.vstack(reps)
     q = contrast_quantile_mc(contrasts, 1.0, budget.inference_level,
                              rng.child(1), n_draws).value
-    M_hat = list(selected.M)
-    inv = design.gram_inverse(selected.M)
-    theta = inv @ (design.X[:, M_hat].T @ np.asarray(y, dtype=float))
-    sig_hat = np.sqrt(np.diag(inv))
-    halves = q * sigma * sig_hat
-    return IntervalSet(np.array(M_hat), theta, halves, 1.0 - budget.alpha)
+    halves = q * sigma * np.sqrt(np.diag(design.gram_inverse(selected.M)))
+    return IntervalSet(np.array(selected.M), projection_truth(design, selected.M, y),
+                       halves, 1.0 - budget.alpha)
 
 
 def projection_truth(design: Design, M, mu) -> np.ndarray:
-    """Population projection coefficients X_M^+ mu for a fixed support."""
+    """Projection coefficients X_M^+ mu for a fixed support: the population
+    target at the mean, the estimate at an outcome y."""
     M = list(M)
     inv = design.gram_inverse(M)
     return inv @ (design.X[:, M].T @ np.asarray(mu, dtype=float))

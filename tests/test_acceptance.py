@@ -140,8 +140,8 @@ def test_c03_width_qualitative_claims(winner_grid_rows):
     medians = {}
     for m in (1000, 10_000):
         mu, ys, q = _cell_outcomes(cfg, 4.0, 10.0, m, "iid", stream=m)
-        widths, _ = _winner_trials(cfg, BUDGET, mu, ys, q, "iid")
-        medians[m] = float(np.median(widths["local"]))
+        arms = _winner_trials(cfg, BUDGET, mu, ys, q, "iid")
+        medians[m] = float(np.median(arms["local"][0]))
     rel_change = abs(medians[10_000] - medians[1000]) / medians[1000]
     ok_b = rel_change < 0.02
 
@@ -180,7 +180,7 @@ COND_TRIALS = 90_000
 
 def _np_cell(theta, n, trials, seed):
     """One cell of the shipped winner-np runner (m = 50, betting CI, Bentkus
-    margin); returns its per-method widths and coverage arrays."""
+    margin); returns its arms, {method: (widths, covered)}."""
     cfg = ExperimentConfig(kind="winner-np", trials=trials)
     return _np_winner_cell(cfg, BUDGET, n, theta, np.random.default_rng(seed))
 
@@ -212,13 +212,12 @@ def _cond_gaussian_hits(theta, n, trials, seed, m=50, signal_frac=0.9):
 @pytest.mark.slow
 def test_c04_nonparametric_winner():
     trials = 2000
-    widths, covered = {}, {}
+    arms = {}
     for n in (100, 1000):
         for theta in (0.5, 4.0):
-            widths[n, theta], covered[n, theta] = _np_cell(theta, n, trials,
-                                                           seed=40_000 + n)
+            arms[n, theta] = _np_cell(theta, n, trials, seed=40_000 + n)
 
-    cov = [covered[c][method].mean() for c in covered
+    cov = [arms[c][method][1].mean() for c in arms
            for method in ("local", "simultaneous")]
     cov_ok = min(cov) >= 0.88
 
@@ -226,7 +225,7 @@ def test_c04_nonparametric_winner():
     # level exceeds the Bonferroni level whenever the plausible set stays
     # below m * (alpha - nu) / alpha, so nestedness forces local <= simultaneous.
     frac_le = np.mean([
-        np.mean(widths[n, 0.5]["local"] <= widths[n, 0.5]["simultaneous"] + 1e-12)
+        np.mean(arms[n, 0.5]["local"][0] <= arms[n, 0.5]["simultaneous"][0] + 1e-12)
         for n in (100, 1000)])
     width_ok = frac_le >= 0.99
 
@@ -238,7 +237,7 @@ def test_c04_nonparametric_winner():
     heur = _cond_heuristic_hits(theta, n, COND_TRIALS, seed=40_000 + n)
     ctrl = _cond_gaussian_hits(theta, n, COND_TRIALS, seed=40_000 + n + 1)
     floor = 0.9 - 3 * binomial_se(0.9, COND_TRIALS)
-    prefix_ok = np.array_equal(heur[:trials], covered[n, theta]["conditional"])
+    prefix_ok = np.array_equal(heur[:trials], arms[n, theta]["conditional"][1])
     cond_ok = prefix_ok and heur.mean() < floor <= ctrl.mean()
 
     detail = (f"min local/sim coverage {min(cov):.4f}, "

@@ -109,6 +109,45 @@ class TestResultRow:
             ResultRow("s", "m", coverage=1.4)
 
 
+class TestCellRows:
+    """``_cell_rows`` builds every simulated row from a cell's arms."""
+
+    @staticmethod
+    def _csv_cells(rows, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_csv(rows, path)
+        return [dict(zip(CSV_HEADER.split(","), line.split(",")))
+                for line in path.read_text().splitlines()[1:]]
+
+    def test_arm_order_and_one_runtime(self, monkeypatch):
+        monkeypatch.setattr(experiments_mod.time, "perf_counter", lambda: 10.0)
+        arms = {method: ([1.0], [True]) for method in ("simultaneous", "local", "nominal")}
+        rows = experiments_mod._cell_rows("s", arms, 7.5, param_m=3)
+        assert [r.method for r in rows] == ["simultaneous", "local", "nominal"]
+        assert {(r.scenario, r.param_m, r.runtime_ms) for r in rows} == {("s", 3, 2500)}
+
+    def test_nan_widths_skip_quantiles_but_count_in_coverage(self):
+        arms = {"local": ([3.0, np.nan, 1.0, 2.0], [True, True, False, True])}
+        (row,) = experiments_mod._cell_rows("s", arms, 0.0)
+        assert (row.q05_width, row.median_width, row.q95_width) == (1.0, 2.0, 2.0)
+        assert row.coverage == 0.75
+
+    def test_infinite_width_is_kept(self, tmp_path):
+        arms = {"conditional": ([1.0, 2.0, np.inf, np.inf], [True] * 4)}
+        rows = experiments_mod._cell_rows("s", arms, 0.0)
+        assert (rows[0].median_width, rows[0].q95_width) == (2.0, math.inf)
+        assert self._csv_cells(rows, tmp_path)[0]["q95_width"] == "inf"
+        assert read_csv(tmp_path / "rows.csv")[0].q95_width == math.inf
+
+    def test_all_nan_arm_and_no_coverage_write_empty_cells(self, tmp_path):
+        arms = {"local": ([np.nan, np.nan], [True, False]), "nominal": ([1.0], None)}
+        local, nominal = self._csv_cells(experiments_mod._cell_rows("s", arms, 0.0),
+                                         tmp_path)
+        assert local["median_width"] == local["q05_width"] == local["q95_width"] == ""
+        assert local["coverage"] == "0.5"
+        assert nominal["median_width"] == "1" and nominal["coverage"] == ""
+
+
 class TestCsv:
     def test_header_and_round_trip(self, tmp_path):
         cfg = ExperimentConfig(kind="figure1", trials=3, seed=5,
