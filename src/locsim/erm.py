@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats_core import RngSpec, _draw_stats, _read_csv
+from .stats_core import (RngSpec, _check_at_least, _check_level, _check_samples,
+                         _draw_stats, _read_csv)
 from .theory_core import BudgetSplit
 
 __all__ = [
@@ -36,8 +37,7 @@ class LossMatrix:
         for axis, what in enumerate(("samples", "hypotheses")):
             if losses.shape[axis] == 0:
                 raise ValueError(f"loss matrix has no {what}")
-        if not np.all(np.isfinite(losses)) or np.abs(losses).max(initial=0.0) > 1.0:
-            raise ValueError("losses must lie in [-1, 1]")
+        _check_samples("losses", losses, -1.0, 1.0)
         if labels is None:
             labels = tuple(f"f{j}" for j in range(losses.shape[1]))
         labels = tuple(str(l) for l in labels)
@@ -96,8 +96,7 @@ def rademacher_mc(losses, rng: RngSpec, n_draws: int = 2000) -> float:
     bound at the simulation confidence.
     """
     mat = (losses if isinstance(losses, LossMatrix) else LossMatrix(losses)).losses
-    if n_draws < 2:
-        raise ValueError("n_draws must be at least 2")
+    _check_at_least("n_draws", n_draws, 2)
     n, F = mat.shape
     gen = rng.generator()
 
@@ -113,10 +112,8 @@ def rademacher_mc(losses, rng: RngSpec, n_draws: int = 2000) -> float:
 def plausible_hypotheses(losses: LossMatrix, gap_full: float, nu: float) -> np.ndarray:
     """Hypotheses whose empirical risk is within the screening slack of the
     minimum: slack = 4 * gap_full + 4 sqrt((2/n) log(1/nu))."""
-    if not gap_full >= 0:
-        raise ValueError(f"gap_full must be nonnegative, got {gap_full}")
-    if not (0.0 < nu < 1.0):
-        raise ValueError("nu must lie in (0, 1)")
+    _check_at_least("gap_full", gap_full, 0)
+    _check_level("nu", nu)
     risks = losses.empirical_risks()
     slack = 4.0 * gap_full + 4.0 * math.sqrt((2.0 / losses.n) * math.log(1.0 / nu))
     return np.flatnonzero(risks <= risks.min() + slack)

@@ -58,6 +58,7 @@ from .lasso import (
 )
 from .sphere import SphereProblem, cap_quantile, sphere_interval
 from .stats_core import (
+    MIN_DRAWS,
     GaussianNoise,
     RngSpec,
     _read_csv,
@@ -155,8 +156,8 @@ class ExperimentConfig:
             raise ConfigError(f"out = {self.out!r} is a directory or has no directory")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.n_draws < 1000:
-            raise ConfigError("n_draws must be >= 1000")
+        if self.n_draws < MIN_DRAWS:
+            raise ConfigError(f"n_draws must be >= {MIN_DRAWS}")
         if not self.phi > 0:
             raise ConfigError("phi must be positive")
         if runner is run_filedrawer and not math.isfinite(self.threshold):

@@ -24,7 +24,8 @@ from itertools import chain, combinations
 import numpy as np
 
 from .lp import Polyhedron, constraint_nonredundant
-from .stats_core import DEFAULT_DRAWS, GaussianNoise, RngSpec, contrast_quantile_mc
+from .stats_core import (DEFAULT_DRAWS, GaussianNoise, RngSpec, _check_at_least,
+                         _check_scale, contrast_quantile_mc)
 from .theory_core import BudgetSplit
 from .winner import IntervalSet
 
@@ -164,8 +165,7 @@ def lasso_solve(design: Design, y, lam: float):
     largest coordinate update falls below 1e-10.  The returned support and
     signs are KKT-verified; a failed check raises SolverError.
     """
-    if not 0.0 < lam < np.inf:
-        raise ValueError("lambda must be finite and positive")
+    _check_scale("lambda", lam)
     y = np.asarray(y, dtype=float).ravel()
     if y.size != design.n:
         raise ValueError("y length does not match the design")
@@ -223,8 +223,7 @@ def _selection_event(design: Design, pair: ModelSignPair, lam: float):
     rows in the same order, then one row per active variable in support
     order.
     """
-    if not 0.0 < lam < np.inf:
-        raise ValueError("lambda must be finite and positive")
+    _check_scale("lambda", lam)
     M = list(pair.M)
     Mc = [j for j in range(design.d) if j not in pair.M]
     s = np.asarray(pair.s, dtype=float)
@@ -260,8 +259,7 @@ def selection_polyhedron(design: Design, pair: ModelSignPair, lam: float) -> Pol
 
 def _box(design: Design, y, s_nu: float) -> Polyhedron:
     """The sufficient-statistic box {u : ||u - X^T y||_inf <= s_nu}."""
-    if s_nu < 0:
-        raise ValueError("s_nu must be nonnegative")
+    _check_at_least("s_nu", s_nu, 0)
     return Polyhedron.box(design.X.T @ np.asarray(y, dtype=float), s_nu)
 
 
@@ -274,8 +272,7 @@ def safe_screening(design: Design, y, pair: ModelSignPair, lam: float, s_nu: flo
     when its maximum there, a^T X^T y + s_nu ||a||_1, is at least b; a
     variable is safe when none of its faces is reached.
     """
-    if s_nu < 0:
-        raise ValueError("s_nu must be nonnegative")
+    _check_at_least("s_nu", s_nu, 0)
     u = design.X.T @ np.asarray(y, dtype=float)
     event, faces = _selection_event(design, pair, lam)
     reached = event.A @ u + s_nu * np.abs(event.A).sum(axis=1) >= event.b
@@ -433,8 +430,7 @@ def marginal_screening_plausible(design: Design, y, k: int, s_nu: float) -> np.n
     """
     if not (1 <= k <= design.d):
         raise ValueError("k out of range")
-    if s_nu < 0:
-        raise ValueError("s_nu must be nonnegative")
+    _check_at_least("s_nu", s_nu, 0)
     scores = np.abs(design.X.T @ np.asarray(y, dtype=float))
     kth = np.sort(scores)[::-1][k - 1]
     return np.flatnonzero(scores >= kth - 2.0 * s_nu)

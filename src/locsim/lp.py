@@ -153,6 +153,8 @@ def lp_maximize(c, region: Polyhedron) -> LpResult:
     c = np.asarray(c, dtype=float).ravel()
     if c.shape[0] != region.dim:
         raise ValueError("objective dimension does not match the region")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("objective must be finite")
     A, b = region.A, region.b
     k, n = A.shape
     if k == 0:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats_core import DEFAULT_DRAWS, RngSpec, conservative_quantile
+from .stats_core import (DEFAULT_DRAWS, RngSpec, _check_at_least, _check_level,
+                         conservative_quantile)
 from .theory_core import BudgetSplit
 
 __all__ = [
@@ -56,14 +57,10 @@ def mu_norm_lower_bound(y_norm_sq: float, d: int, tau: float, rng: RngSpec,
     CDF at the observation stays above 1 - tau after a 3-standard-error
     conservative shave.  Returns 0 when even noncentrality zero fails.
     """
-    if y_norm_sq < 0:
-        raise ValueError("y_norm_sq must be nonnegative")
-    if d < 1:
-        raise ValueError("d must be positive")
-    if not (0.0 < tau < 1.0):
-        raise ValueError("tau must lie in (0, 1)")
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
+    _check_at_least("y_norm_sq", y_norm_sq, 0)
+    _check_at_least("d", d, 1)
+    _check_level("tau", tau)
+    _check_at_least("n_draws", n_draws, 1)
     gen = rng.generator()
     z = gen.standard_normal((n_draws, d))
     z1 = z[:, 0]
@@ -98,14 +95,10 @@ def s_tau(c: float, d: int, tau: float, rng: RngSpec,
     (downward-biased) tau-quantile q, and maps it to a cosine through
     sign(q) * sqrt(1 / ((d-1)/q^2 + 1)).
     """
-    if c < 0:
-        raise ValueError("noncentrality must be nonnegative")
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if not (0.0 < tau < 1.0):
-        raise ValueError("tau must lie in (0, 1)")
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
+    _check_at_least("noncentrality c", c, 0)
+    _check_at_least("d", d, 2)
+    _check_level("tau", tau)
+    _check_at_least("n_draws", n_draws, 1)
     gen = rng.generator()
     num = gen.standard_normal(n_draws) + c
     chi_sq = gen.standard_normal((n_draws, d - 1))
@@ -128,12 +121,9 @@ def cap_quantile(delta: float, d: int, alpha: float, rng: RngSpec,
     """
     if not (0.0 <= delta <= math.pi):
         raise ValueError("delta must lie in [0, pi]")
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
+    _check_at_least("d", d, 2)
+    _check_level("alpha", alpha)
+    _check_at_least("n_draws", n_draws, 1)
     gen = rng.generator()
     z = gen.standard_normal((n_draws, d))
     z1 = z[:, 0]

@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 DEFAULT_DRAWS = 100_000
+# The fewest draws max_stat_quantile_mc and contrast_quantile_mc accept, and
+# the least n_draws an experiment config may set.
+MIN_DRAWS = 1000
 
 # Reference error level used to size the betting-CI bets. Bets must not
 # depend on the target alpha, otherwise nestedness of the intervals in
@@ -53,6 +56,30 @@ _BETTING_BLOCK = 32
 # would re-pack a large operand for every few draws.
 _CHUNK_FLOATS = 131_072
 _CHUNK_MIN_ROWS = 128
+
+
+# The argument rules, each written once.  Every rule negates a comparison,
+# so a NaN, which compares False, fails it.
+
+def _check_level(name: str, x) -> None:
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {x}")
+
+
+def _check_scale(name: str, x) -> None:
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x}")
+
+
+def _check_at_least(name: str, x, floor) -> None:
+    if not floor <= x < math.inf:
+        raise ValueError(f"{name} must be at least {floor} and finite, got {x}")
+
+
+def _check_samples(name: str, x: np.ndarray, low: float, high: float) -> None:
+    # x is nonempty: min and max of an empty array raise.
+    if not np.all(np.isfinite(x)) or x.min() < low or x.max() > high:
+        raise ValueError(f"{name} must be finite and lie in [{low:g}, {high:g}]")
 
 
 class CovarianceError(ValueError):
@@ -171,8 +198,7 @@ class GaussianNoise:
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF via ``scipy.special.ndtri``, within a few
     units in the last place.  Raises ValueError unless 0 < p < 1."""
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie in (0, 1), got {p}")
+    _check_level("p", p)
     return float(ndtri(p))
 
 
@@ -181,12 +207,9 @@ def max_abs_quantile_iid(m: int, alpha: float, sigma: float = 1.0) -> float:
 
     Closed form: sigma * PhiInv((1 + (1-alpha)^(1/m)) / 2).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    _check_at_least("m", m, 1)
+    _check_level("alpha", alpha)
+    _check_scale("sigma", sigma)
     return sigma * normal_quantile((1.0 + (1.0 - alpha) ** (1.0 / m)) / 2.0)
 
 
@@ -267,10 +290,8 @@ def max_stat_quantile_mc(noise: GaussianNoise, subset, alpha: float,
         raise ValueError("subset must be nonempty")
     if idx.min() < 0 or idx.max() >= noise.dimension:
         raise ValueError("subset indices out of range")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-    if n_draws < 1000:
-        raise ValueError("n_draws must be at least 1000")
+    _check_level("alpha", alpha)
+    _check_at_least("n_draws", n_draws, MIN_DRAWS)
     sub = noise if idx.size == noise.dimension else noise.restrict(idx)
     scales = sub.marginal_scales
     gen = rng.generator()
@@ -296,12 +317,9 @@ def contrast_quantile_mc(contrasts, noise_scale: float, alpha: float,
         raise ValueError("contrast set must be nonempty")
     if not np.all(np.isfinite(v)):
         raise ValueError("contrasts must be finite")
-    if not 0.0 < noise_scale < np.inf:
-        raise ValueError("noise_scale must be finite and positive")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-    if n_draws < 1000:
-        raise ValueError("n_draws must be at least 1000")
+    _check_scale("noise_scale", noise_scale)
+    _check_level("alpha", alpha)
+    _check_at_least("n_draws", n_draws, MIN_DRAWS)
     k, n = v.shape
     gen = rng.generator()
 
@@ -320,10 +338,8 @@ def contrast_quantile_mc(contrasts, noise_scale: float, alpha: float,
 
 def hoeffding_width(n: int, alpha: float) -> float:
     """Two-sided Hoeffding half-width sqrt(log(2/alpha) / (2n)) for [0,1] data."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_at_least("n", n, 1)
+    _check_level("alpha", alpha)
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 
@@ -346,10 +362,8 @@ def bentkus_width(n: int, alpha: float) -> float:
     better choice anyway); in the usual regime the value stays below
     1.5 * hoeffding_width(n, alpha).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_at_least("n", n, 1)
+    _check_level("alpha", alpha)
     target = alpha / 2.0
     if _bentkus_one_sided_tail(n, 0.5) > target:
         return 0.5
@@ -395,10 +409,8 @@ def betting_capital_peaks(samples, alpha_floor):
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise ValueError("need at least 2 samples")
-    if not np.all(np.isfinite(x)) or x.min() < 0.0 or x.max() > 1.0:
-        raise ValueError("samples must lie in [0, 1]")
-    if not (0.0 < alpha_floor < 1.0):
-        raise ValueError(f"alpha_floor must lie in (0, 1), got {alpha_floor}")
+    _check_samples("samples", x, 0.0, 1.0)
+    _check_level("alpha_floor", alpha_floor)
     threshold = math.log(1.0 / alpha_floor)
     grid = np.arange(_BETTING_GRID_STEP, 1.0, _BETTING_GRID_STEP)
     lam = _betting_lambdas(x)
@@ -432,8 +444,7 @@ def betting_capital_peaks(samples, alpha_floor):
 
 
 def betting_interval_from_peaks(grid, peaks, alpha: float, fallback: float):
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_level("alpha", alpha)
     alive = peaks < math.log(1.0 / alpha)
     if not np.any(alive):
         center = float(np.clip(fallback, 0.0, 1.0))
@@ -462,8 +473,8 @@ def betting_ci(samples, alpha):
     levels = np.ravel(alpha).astype(float)
     if levels.size == 0:
         raise ValueError("alpha must hold at least one level")
-    if not np.all((0.0 < levels) & (levels < 1.0)):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    for level in levels:
+        _check_level("alpha", level)
     x = np.asarray(samples, dtype=float).ravel()
     grid, peaks = betting_capital_peaks(x, alpha_floor=float(levels.min()))
     center = float(x.mean())

@@ -20,6 +20,9 @@ from .stats_core import (
     DEFAULT_DRAWS,
     GaussianNoise,
     RngSpec,
+    _check_level,
+    _check_samples,
+    _check_scale,
     betting_ci,
     bentkus_width,
     hoeffding_width,
@@ -153,8 +156,7 @@ class SampleMatrix:
             raise ValueError("sample matrix must be two-dimensional")
         if data.shape[0] < 2:
             raise ValueError("need at least 2 samples per candidate")
-        if not np.all(np.isfinite(data)) or data.min() < 0.0 or data.max() > 1.0:
-            raise ValueError("all entries must lie in [0, 1]")
+        _check_samples("samples", data, 0.0, 1.0)
         self.data = data
 
     @property
@@ -342,8 +344,7 @@ def two_candidate_interval(y, budget: BudgetSplit, sigma: float = 1.0) -> Interv
     y = _finite_outcomes(y)
     if y.size != 2:
         raise ValueError("exactly two candidates required")
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    _check_scale("sigma", sigma)
     q_nu = max_abs_quantile_iid(1, budget.nu, 1.0)
     switch = 2.0 * math.sqrt(2.0) * sigma * q_nu
     k = 2 if abs(y[1] - y[0]) <= switch else 1
@@ -396,10 +397,9 @@ def conditional_winner_interval(y, sigma, alpha: float):
     if y.ndim not in (1, 2) or y.shape[-1] < 2 or not np.all(np.isfinite(y)):
         raise ValueError("y must be finite, of shape (m,) or (trials, m) with m >= 2")
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), y.shape[:-1])
-    if not np.all(sigma > 0):
-        raise ValueError("sigma must be positive")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
+    if not np.all((0.0 < sigma) & (sigma < np.inf)):
+        raise ValueError("sigma must be positive and finite")
+    _check_level("alpha", alpha)
     top2 = np.partition(y, -2, axis=-1)
     lower, x = top2[..., -2], top2[..., -1]
     # Both endpoints at once, on a leading axis; the CDF decreases in mu.

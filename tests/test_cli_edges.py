@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from locsim import cli
+from locsim.experiments import read_csv
 
 EDGE = dict(deadline=None, max_examples=10)
 NP_KINDS = st.sampled_from(["winner-np", "filedrawer-np"])
@@ -143,4 +144,33 @@ def test_bad_setting_rejected_before_any_cell(kind, key, value, tmp_path, capsys
     argv = [kind, "--trials", "2", "--config", str(path), "--out", str(out)]
     assert cli.main(argv) == 2
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_filedrawer_np_data_without_a_column_above_threshold(tmp_path):
+    # Every column mean is near 2/7, below the threshold: the one row has
+    # neither widths nor coverage.
+    data, out = tmp_path / "data.csv", tmp_path / "out.csv"
+    np.savetxt(data, np.random.default_rng(0).beta(2, 5, size=(20, 4)), delimiter=",")
+    argv = ["filedrawer-np", "--data", str(data), "--threshold", "0.9", "--out", str(out)]
+    assert cli.main(argv) == 0
+    (row,) = read_csv(out)
+    assert (row.scenario, row.method, row.param_m) == ("filedrawer-np:data", "local", 4)
+    assert row.median_width is row.q05_width is row.q95_width is row.coverage is None
+
+
+def test_single_candidate_grid_rejected(tmp_path, capsys):
+    path, out = tmp_path / "c.cfg", tmp_path / "out.csv"
+    path.write_text("m_grid = 1\n")
+    argv = ["winner", "--trials", "2", "--config", str(path), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "m must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_line_without_equals_names_its_line(tmp_path, capsys):
+    path, out = tmp_path / "c.cfg", tmp_path / "out.csv"
+    path.write_text("# a comment\ntrials = 2\nalpha 0.1\n")
+    assert cli.main(["winner", "--config", str(path), "--out", str(out)]) == 2
+    assert f"{path}:3:" in capsys.readouterr().err
     assert not out.exists()

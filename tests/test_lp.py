@@ -45,6 +45,11 @@ class TestLpMaximize:
         with pytest.raises(ValueError):
             lp_maximize(np.array([1.0, 2.0]), box(3, 1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_objective_rejected(self, bad):
+        with pytest.raises(ValueError, match="objective must be finite"):
+            lp_maximize([bad], Polyhedron.box([0.0], 1.0))
+
     def test_matches_vertex_enumeration_on_random_instances(self):
         gen = np.random.default_rng(314)
         for _ in range(200):

@@ -122,6 +122,16 @@ def test_kernels_need_a_draw(kernel, n_draws):
         kernel(n_draws)
 
 
+@pytest.mark.parametrize("kernel, value, match", [
+    (mu_norm_lower_bound, math.nan, "y_norm_sq"),
+    (mu_norm_lower_bound, math.inf, "y_norm_sq"),
+    (s_tau, math.nan, "noncentrality"),
+])
+def test_nonfinite_first_argument_rejected(kernel, value, match):
+    with pytest.raises(ValueError, match=match):
+        kernel(value, 5, 0.05, RngSpec(0), 1000)
+
+
 class TestSphereInterval:
     def test_strong_signal_close_to_nominal(self):
         prob = SphereProblem(np.r_[100.0, np.zeros(4)], BUDGET)

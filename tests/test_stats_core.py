@@ -395,6 +395,11 @@ class TestHoeffdingWidth:
         with pytest.raises(ValueError):
             hoeffding_width(100, 2.0)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_nonfinite_n_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be at least 1 and finite"):
+            hoeffding_width(n, 0.1)
+
     def test_monotonicity(self):
         assert hoeffding_width(200, 0.1) < hoeffding_width(100, 0.1)
         assert hoeffding_width(100, 0.05) > hoeffding_width(100, 0.1)

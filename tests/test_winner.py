@@ -329,6 +329,8 @@ class TestConditionalWinnerInterval:
     def test_bad_input_rejected(self):
         y = np.arange(12.0).reshape(3, 4)
         for args in ((y, np.array([1.0, 0.0, 1.0])),  # a per-row sigma of 0
+                     (y, np.array([1.0, np.inf, 1.0])),  # a per-row sigma of inf
+                     (np.array([1.0, 0.0]), np.inf),
                      (y, np.ones(2)),                  # one sigma per row, wrong count
                      (y[None], 1.0),                   # 3-d outcomes
                      (y[:, :1], 1.0),                  # m = 1
