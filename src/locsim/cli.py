@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -35,7 +36,11 @@ _NUMERICAL_ERRORS = (DegeneracyError, SolverError, LpError, CovarianceError,
                      np.linalg.LinAlgError)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The locsim argument parser, built once per process and shared, so
+    callers must not modify it.  Each parse_args call starts from a fresh
+    namespace: no option carries over from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="locsim",
         description="Locally simultaneous inference experiment harness",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby
 
 import numpy as np
 
@@ -108,6 +108,16 @@ class Design:
     Submatrices used for inference must have full column rank; this is
     checked (singular-value tolerance 1e-8) whenever a support's Gram
     inverse is built, and violations raise DegeneracyError.
+
+    Two caches hold what depends only on the design and a support M: the
+    Gram inverse (X_M^T X_M)^{-1} and the contrast block, the rows
+    e_{j.M}^T X_M^+ / sigma_hat_{j.M} (j in M) in u = X^T y coordinates.
+    Each fill builds the supports it is missing with one batched LAPACK
+    call per support size (eigvalsh for the rank check, then inv) and one
+    batched product for the blocks; numpy runs the same routine on every
+    matrix of a batch, so an entry has the bits of a one-support call.
+    The caches live as long as the design: at most 2^d inverses and
+    d * 2^(d-1) contrast rows.
     """
 
     def __init__(self, X):
@@ -118,7 +128,8 @@ class Design:
             raise ValueError("design entries must be finite")
         self.X = X
         self.XtX = X.T @ X
-        self._inverses = {}
+        self._inverses = {(): np.zeros((0, 0))}
+        self._blocks = {(): np.zeros((0, X.shape[1]))}
         self._gram_factor = None
 
     @property
@@ -139,15 +150,35 @@ class Design:
         """(X_M^T X_M)^{-1} for a support M (cached per support)."""
         M = tuple(int(j) for j in M)
         if M not in self._inverses:
-            inv = np.zeros((0, 0))
-            if M:
-                G = self.XtX[np.ix_(M, M)]
-                sv = np.sqrt(np.clip(np.linalg.eigvalsh(G), 0.0, None))
-                if sv[0] <= _RANK_TOL * sv[-1] or sv[0] == 0.0:
-                    raise DegeneracyError(f"rank-deficient submatrix for support {M}")
-                inv = np.linalg.inv(G)
-            self._inverses[M] = inv
+            self._fill(np.array([M]), blocks=False)
         return self._inverses[M]
+
+    def contrast_blocks(self, supports) -> list:
+        """The contrast block of each support, in the order given (cached
+        per support; supports missing from the cache are built by size,
+        smallest first)."""
+        supports = list(supports)
+        new = {M for M in supports if M not in self._blocks}
+        for _, group in groupby(sorted(new, key=lambda M: (len(M), M)), key=len):
+            self._fill(np.array(list(group)), blocks=True)
+        return [self._blocks[M] for M in supports]
+
+    def _fill(self, idx: np.ndarray, blocks: bool) -> None:
+        """Cache the inverses, and with ``blocks`` the contrast blocks, of
+        the supports in the rows of idx (all of one size k >= 1)."""
+        G = self.XtX[idx[:, :, None], idx[:, None, :]]
+        sv = np.sqrt(np.clip(np.linalg.eigvalsh(G), 0.0, None))
+        bad = (sv[:, 0] <= _RANK_TOL * sv[:, -1]) | (sv[:, 0] == 0.0)
+        if bad.any():
+            M = tuple(idx[np.argmax(bad)].tolist())
+            raise DegeneracyError(f"rank-deficient submatrix for support {M}")
+        inv = np.linalg.inv(G)
+        keys = [tuple(M) for M in idx.tolist()]
+        self._inverses.update(zip(keys, inv))
+        if blocks:
+            block = inv @ self.gram_factor()[idx]
+            block /= np.sqrt(np.diagonal(inv, axis1=1, axis2=2))[:, :, None]
+            self._blocks.update(zip(keys, block))
 
 
 def _soft_threshold(x: float, t: float) -> float:
@@ -389,24 +420,17 @@ def posi_intervals(design: Design, y, selected: ModelSignPair, models,
     over every plausible (feature, model) projection target.
 
     Contrast set: e_{j.M}^T X_M^+ / sigma_hat_{j.M} over all plausible M and
-    j in M; the interval half-width is q * sigma * sigma_hat_{j.Mhat} where
-    q is the simulated sup-|contrast| quantile at level alpha - nu.
+    j in M, stacked by support in sorted order from the design's cached
+    contrast blocks (see Design); the interval half-width is
+    q * sigma * sigma_hat_{j.Mhat} where q is the simulated sup-|contrast|
+    quantile at level alpha - nu.
     """
     if not selected.M:
         return IntervalSet(np.array([], dtype=int), np.array([]), np.array([]),
                            1.0 - budget.alpha)
-    L = design.gram_factor()
-    reps = []
     # The realized model is always plausible.
-    for M in sorted(set(tuple(m) for m in models) | {selected.M}):
-        if not M:
-            continue
-        inv = design.gram_inverse(M)
-        LM = L[list(M), :]
-        block = inv @ LM                      # rows: contrasts in u-coordinates
-        scales = np.sqrt(np.diag(inv))
-        reps.append(block / scales[:, None])
-    contrasts = np.vstack(reps)
+    supports = sorted((set(tuple(m) for m in models) | {selected.M}) - {()})
+    contrasts = np.vstack(design.contrast_blocks(supports))
     q = contrast_quantile_mc(contrasts, 1.0, budget.inference_level,
                              rng.child(1), n_draws).value
     halves = q * sigma * np.sqrt(np.diag(design.gram_inverse(selected.M)))

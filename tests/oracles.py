@@ -17,7 +17,10 @@ Monte-Carlo pass even when the set is the whole class.  The dense max-stat
 oracle restricts the noise on every call, full set included, and draws
 through the product with the factor even when the noise is diagonal; the
 library's full-set reuse and elementwise scaling must match it bit for bit.
-The allocating contrast kernel takes the absolute values of its product
+The PoSI contrast loop builds each support's inverse and contrast block on
+its own, as ``posi_intervals`` did before ``Design`` cached them in batches
+per support size; the batched blocks must match it bit for bit.  The
+allocating contrast kernel takes the absolute values of its product
 into a new array; the library's in-place reduction must match it bit for bit.
 The loop simplex is the dense Bland simplex with Python loops over rows and
 columns, from the same slack-basis start with one auxiliary column: status,
@@ -297,6 +300,21 @@ def max_stat_quantile_mc_dense(noise, subset, alpha, rng, n_draws):
         return np.max(np.abs(z) / sub.marginal_scales, axis=1)
 
     return _mc_quantile_estimate(_draw_stats(n_draws, idx.size, draw), alpha, n_draws)
+
+
+def posi_contrasts_loop(design, models, selected):
+    """The contrast set of ``posi_intervals``, built one support at a time:
+    for each nonempty support of models + {selected} in sorted order, its
+    own Gram inverse and product with the Gram factor's rows."""
+    L = design.gram_factor()
+    reps = []
+    for M in sorted(set(tuple(m) for m in models) | {selected.M}):
+        if not M:
+            continue
+        inv = np.linalg.inv(design.XtX[np.ix_(M, M)])
+        block = inv @ L[list(M), :]
+        reps.append(block / np.sqrt(np.diag(inv))[:, None])
+    return np.vstack(reps)
 
 
 def contrast_quantile_mc_alloc(contrasts, noise_scale, alpha, rng, n_draws):

@@ -174,3 +174,25 @@ def test_config_line_without_equals_names_its_line(tmp_path, capsys):
     assert cli.main(["winner", "--config", str(path), "--out", str(out)]) == 2
     assert f"{path}:3:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_no_option_carries_over_between_calls(tmp_path):
+    # The parser is built once per process; each call must start from the
+    # defaults.  A carried --threshold would let the second filedrawer-np
+    # call run (the default -1 is refused), and a carried --data would make
+    # figure1, which takes no data, a configuration error.
+    assert cli.build_parser() is cli.build_parser()
+    data, out, cfg = tmp_path / "data.csv", tmp_path / "out.csv", tmp_path / "c.cfg"
+    np.savetxt(data, np.random.default_rng(0).beta(2, 5, size=(20, 4)), delimiter=",")
+    # n < d with a vanishing penalty: the solver fails, exit 3.
+    cfg.write_text("d = 8\nn = 2\nlambda0 = 0.0001\nn_draws = 2000\n")
+    steps = [
+        (["filedrawer-np", "--data", str(data), "--threshold", "0.9"], 0),
+        (["filedrawer-np", "--data", str(data)], 2),
+        (["figure1", "--trials", "1"], 0),
+        (["lasso", "--config", str(cfg), "--trials", "1"], 3),
+        (["winner-np", "--data", str(data)], 0),
+        (["figure1", "--trials", "1"], 0),
+    ]
+    for argv, code in steps:
+        assert cli.main([*argv, "--out", str(out)]) == code, argv

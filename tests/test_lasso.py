@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from locsim.lasso import (
     DegeneracyError,
     Design,
     ModelSignPair,
+    _all_models,
     _box,
     _selection_event,
     column_max_quantile,
@@ -18,11 +20,14 @@ from locsim.lasso import (
     safe_screening,
     selection_polyhedron,
 )
+from locsim import lasso
 from locsim.lp import lp_maximize
-from locsim.stats_core import RngSpec, max_abs_quantile_iid, normal_quantile
+from locsim.stats_core import (RngSpec, contrast_quantile_mc, max_abs_quantile_iid,
+                               normal_quantile)
 from locsim.theory_core import BudgetSplit
 
-from oracles import grid_lasso_models, lasso_supports_ista, safe_screening_closed_form
+from oracles import (grid_lasso_models, lasso_supports_ista, posi_contrasts_loop,
+                     safe_screening_closed_form)
 
 BUDGET = BudgetSplit(0.1, 0.01)
 
@@ -357,6 +362,111 @@ class TestPosiIntervals:
         XM = design.X[:, list(pair.M)]
         theta_ls = np.linalg.lstsq(XM, y, rcond=None)[0]
         assert np.allclose(iv.centers, theta_ls, atol=1e-8)
+
+
+def runner_design(seed, n=200, d=8):
+    """A lasso runner-like design: standard normals, unit columns."""
+    X = np.random.default_rng(seed).standard_normal((n, d))
+    return Design(X / np.linalg.norm(X, axis=0))
+
+
+def posi_contrasts(monkeypatch, design, models, selected):
+    """The contrast matrix posi_intervals passes to the contrast kernel."""
+    seen = []
+
+    def record(contrasts, *args):
+        seen.append(contrasts)
+        return contrast_quantile_mc(contrasts, *args)
+
+    monkeypatch.setattr(lasso, "contrast_quantile_mc", record)
+    posi_intervals(design, np.zeros(design.n), selected, models, BUDGET, 1.0,
+                   RngSpec(0), 1000)
+    (contrasts,) = seen
+    return contrasts
+
+
+class TestPosiContrastsMatchLoop:
+    """The contrast blocks Design builds in one batch per support size give
+    the matrix of the one-support-at-a-time loop bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_support_of_runner_designs(self, monkeypatch, seed):
+        design = runner_design(seed)
+        selected = ModelSignPair((1, 4), (1, -1))
+        got = posi_contrasts(monkeypatch, design, _all_models(8), selected)
+        assert got.shape == (8 * 2 ** 7, 8)
+        assert np.array_equal(got, posi_contrasts_loop(design, _all_models(8), selected))
+
+    def test_uncapped_plausible_set(self, monkeypatch):
+        design = runner_design(11)
+        # The runner's defaults: lambda0 = 6, sparsity 0.5, sigma 1.
+        lam = 6.0 * math.sqrt(2.0 * math.log(math.e * 8))
+        beta = np.zeros(8)
+        beta[:2], beta[2:4] = 2.0 * lam, lam
+        y = design.X @ beta + np.random.default_rng(12).standard_normal(design.n)
+        s_nu = 2.0 * column_max_quantile(design, 1.0, BUDGET.nu, RngSpec(13), 2000)
+        models, frontier = enumerate_plausible_models(design, y, lam, s_nu)
+        assert not frontier.capped and 1 < len(models) < 2 ** 8
+        got = posi_contrasts(monkeypatch, design, models, frontier.start)
+        assert np.array_equal(got, posi_contrasts_loop(design, models, frontier.start))
+
+    def test_models_without_the_selected_support(self, monkeypatch):
+        design = runner_design(21)
+        models, selected = {(), (1, 2), (3,), (0, 5, 7)}, ModelSignPair((0, 4), (1, -1))
+        got = posi_contrasts(monkeypatch, design, models, selected)
+        assert got.shape == (2 + 2 + 1 + 3, 8)
+        assert np.array_equal(got, posi_contrasts_loop(design, models, selected))
+
+    def test_second_call_reads_the_cache(self, monkeypatch):
+        design = runner_design(31)
+        selected = ModelSignPair((2,), (1,))
+        first = posi_contrasts(monkeypatch, design, _all_models(8), selected)
+
+        def refill(*args, **kwargs):
+            raise AssertionError("a cached support was built again")
+
+        monkeypatch.setattr(design, "_fill", refill)
+        second = posi_contrasts(monkeypatch, design, _all_models(8), selected)
+        assert np.array_equal(second, first)
+        assert np.array_equal(second, posi_contrasts_loop(design, _all_models(8), selected))
+
+
+class TestDegeneracyThroughTheBatch:
+    """Two identical columns: a batch holding a support with both raises
+    DegeneracyError naming such a support, and what was cached before the
+    failure is still exact."""
+
+    @staticmethod
+    def twin_columns(d=5):
+        X = np.random.default_rng(41).standard_normal((30, d))
+        X[:, 3] = X[:, 1]
+        return Design(X)
+
+    @staticmethod
+    def named_support(exc_info):
+        found = re.search(r"support \(([\d, ]*)\)", str(exc_info.value))
+        return {int(j) for j in found.group(1).split(",") if j.strip()}
+
+    def test_posi_intervals_over_every_support(self):
+        design = self.twin_columns()
+        with pytest.raises(DegeneracyError) as exc_info:
+            posi_intervals(design, np.zeros(design.n), ModelSignPair((0,), (1,)),
+                           _all_models(design.d), BUDGET, 1.0, RngSpec(0), 1000)
+        assert {1, 3} <= self.named_support(exc_info)
+        cached = [M for M in design._blocks if M]
+        assert cached
+        for M in cached:
+            pair = ModelSignPair(M, (1,) * len(M))
+            assert np.array_equal(design._blocks[M], posi_contrasts_loop(design, {M}, pair))
+            assert np.array_equal(design.gram_inverse(M),
+                                  np.linalg.inv(design.XtX[np.ix_(M, M)]))
+
+    def test_gram_inverse_of_a_support_with_both(self):
+        design = self.twin_columns()
+        with pytest.raises(DegeneracyError) as exc_info:
+            design.gram_inverse((0, 1, 3))
+        assert self.named_support(exc_info) == {0, 1, 3}
+        assert (0, 1, 3) not in design._inverses
 
 
 class TestMarginalScreening:
